@@ -221,15 +221,19 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of 2-D operands, or per-matrix product of equal-batch 3-D ones."""
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeMismatch(f"matmul requires 2-D operands, got shapes {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
+    if av.ndim != bv.ndim or av.ndim not in (2, 3) or av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeMismatch(
+            "matmul requires 2-D or equal-batch 3-D operands, "
+            f"got shapes {av.shape} and {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2]:
         raise ShapeMismatch(f"matmul: inner dimensions disagree for shapes {av.shape} and {bv.shape}")
     out = av @ bv
 
     def grad_fn(g):
-        return (g @ bv.T, av.T @ g)
+        return (g @ np.swapaxes(bv, -1, -2), np.swapaxes(av, -1, -2) @ g)
 
     return Tensor(out, (a, b), grad_fn)
 
@@ -249,9 +253,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeMismatch(f"transpose requires a 2-D tensor, got shape {a.shape}")
-    return Tensor(a.values.T, (a,), lambda g: (g.T,))
+    """Swap the last two axes of a 2-D or 3-D tensor."""
+    if a.values.ndim not in (2, 3):
+        raise ShapeMismatch(f"transpose requires a 2-D or 3-D tensor, got shape {a.shape}")
+    return Tensor(np.swapaxes(a.values, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -265,14 +270,24 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
-    return Tensor(np.where(mask, a.values, 0.0), (a,), lambda g: (g * mask,))
+    return Tensor(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0),))
+
+
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """Logistic function on a plain array, in one pass of exp.
+
+    For v below about -709, exp(-v) overflows to inf and the result is the
+    exact limit 0.
+    """
+    out = np.negative(v, out=np.empty_like(v))  # one buffer; fresh ones fault pages in
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    v = a.values
-    e = np.exp(-np.abs(v))  # never overflows
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = sigmoid_values(a.values)
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)
@@ -329,17 +344,18 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with row-max subtraction for stability."""
+    """Softmax over the last axis (matrix rows, or the rows of each matrix in a
+    batch) with row-max subtraction for stability."""
     v = a.values
-    if v.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows requires a 2-D tensor, got shape {a.shape}")
+    if v.ndim not in (2, 3):
+        raise ShapeMismatch(f"softmax_rows requires a 2-D or 3-D tensor, got shape {a.shape}")
     if not np.isfinite(v).all():
         raise NumericError("softmax_rows requires finite inputs")
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return Tensor(out, (a,), grad_fn)
@@ -363,28 +379,57 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows (first axis); repeated indices accumulate on backward."""
+    """Gather rows (first axis) of ``a`` by a 1-D index array.
+
+    Repeated indices accumulate on backward: a stable sort groups each
+    target's gradient rows in index order and one ``np.add.reduceat`` sums
+    every group.  numpy adds a group's first row to the sum of the rest, so
+    the result can differ from strict front-to-back accumulation in the last
+    bit, but it is the same on every call.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     out = a.values[idx]
 
     def grad_fn(g):
         gx = np.zeros_like(a.values)
-        np.add.at(gx, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            ordered = idx[order]
+            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+            gx[ordered[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (gx,)
 
     return Tensor(out, (a,), grad_fn)
 
 
-def gather_cols_per_row(a: Tensor, cols) -> Tensor:
-    """out[i, j] = a[i, cols[i, j]] for a 2-D tensor and per-row column lists."""
-    cols = np.asarray(cols, dtype=np.intp)
-    rows = np.arange(a.values.shape[0])[:, None]
-    out = a.values[rows, cols]
+def gather_last(a: Tensor, indices) -> Tensor:
+    """out[..., j] = a[..., indices[..., j]] along the last axis.
+
+    Indices must be distinct within each row, so backward is a plain write.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    out = np.take_along_axis(a.values, idx, axis=-1)
 
     def grad_fn(g):
         gx = np.zeros_like(a.values)
-        np.add.at(gx, (rows, cols), g)
+        np.put_along_axis(gx, idx, g, axis=-1)
         return (gx,)
+
+    return Tensor(out, (a,), grad_fn)
+
+
+def put_rows(a: Tensor, rows, num_rows: int) -> Tensor:
+    """Write a[i] into row rows[i] of a zero tensor with ``num_rows`` rows.
+
+    ``rows`` may have any shape matching a's leading axes; its entries must be
+    distinct.  Rows never written stay zero.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.zeros((num_rows,) + a.values.shape[rows.ndim :], dtype=np.float64)
+    out[rows] = a.values
+
+    def grad_fn(g):
+        return (g[rows],)
 
     return Tensor(out, (a,), grad_fn)
 
@@ -403,18 +448,6 @@ def scatter_2d(w: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
         return (g[rows[:, None], cols],)
 
     return Tensor(out, (w,), grad_fn)
-
-
-def scatter_add_rows(a: Tensor, indices, num_rows: int) -> Tensor:
-    """out[indices[e]] += a[e]; rows never indexed stay zero."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.zeros((num_rows,) + a.values.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, a.values)
-
-    def grad_fn(g):
-        return (g[idx],)
-
-    return Tensor(out, (a,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

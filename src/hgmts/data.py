@@ -58,8 +58,9 @@ def load_csv(path, name: str | None = None, frequency: str | None = None,
     """First column is the timestamp; remaining columns are numeric channels.
 
     Rows with empty cells are rejected unless forward_fill, which copies the
-    previous row's value.  Timestamps must be strictly increasing (numeric or
-    lexicographic, e.g. ISO datetimes).
+    previous row's value; non-numeric and non-finite (nan, inf) cells are
+    rejected with their row and column.  Timestamps must be strictly
+    increasing (numeric or lexicographic, e.g. ISO datetimes).
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -91,10 +92,18 @@ def load_csv(path, name: str | None = None, frequency: str | None = None,
                     f"{path}: non-numeric value {cell!r} at row {lineno}, column {channels[ci]!r}"
                 ) from None
         rows.append(row)
+    values = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:  # float() parses nan and inf; report the first such cell
+        row_i, col = bad[0]
+        cell = lines[row_i + 1].split(",")[col + 1].strip()
+        raise ContractError(
+            f"{path}: non-finite value {cell!r} at row {row_i + 1}, column {channels[col]!r}"
+        )
     _check_monotone(stamps, path)
     return Dataset(
         name=name or str(path),
-        values=np.asarray(rows, dtype=np.float64),
+        values=values,
         channels=channels,
         timestamps=stamps,
         frequency=frequency,

@@ -14,7 +14,7 @@ choices are made on plain arrays and act as constants during backward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,44 +47,53 @@ def c_for_gamma(gamma: float, n_nodes: int) -> float:
 
 
 @dataclass
-class EdgeSet:
-    """Flat edge view of one or more adjacencies: weights[e] on (src[e] -> dst[e])."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    weights: Tensor  # 1-D, length len(src)
-    num_nodes: int
-
-
-@dataclass
 class SparseAdjacency:
-    """Row-stochastic-on-selected-rows adjacency with exact zeros elsewhere.
+    """One window's graph: row-stochastic on the selected query rows, exact zeros elsewhere.
 
-    ``matrix`` may be None on internal fast paths that only need the edge
-    view; the public builder always materializes it.
+    ``matrix`` (N x N) is materialized only by :func:`build_sparse_adjacency`;
+    the per-window views of a :class:`GraphBatch` leave it None.
     """
 
-    matrix: Tensor | None  # N x N
     selected_queries: np.ndarray  # (n,) ascending
     selected_keys: np.ndarray  # (n, n); row i holds keys of selected_queries[i], ascending
     weights: Tensor  # (n, n) row-softmax aligned with selected_keys
     dot_product_count: int
-    num_nodes: int = 0
+    num_nodes: int
+    matrix: Tensor | None = None
 
-    def __post_init__(self):
-        if self.matrix is not None:
-            self.num_nodes = self.matrix.shape[0]
 
-    @property
-    def selected_keys_per_query(self) -> dict[int, np.ndarray]:
-        return {int(q): self.selected_keys[i] for i, q in enumerate(self.selected_queries)}
+@dataclass
+class GraphBatch:
+    """The graphs of B windows in one regular layout.
 
-    def edge_set(self) -> EdgeSet:
-        n = self.selected_keys.shape[1]
-        src = np.repeat(self.selected_queries, n)
-        dst = self.selected_keys.reshape(-1)
-        flat = ad.reshape(self.weights, (src.size,))
-        return EdgeSet(src=src, dst=dst, weights=flat, num_nodes=self.num_nodes)
+    Every window selects exactly n queries with exactly n keys each, so the
+    whole batch is three dense arrays.  Node indices are per window (0..N-1).
+    """
+
+    selected_queries: np.ndarray  # (B, n) ascending per window
+    selected_keys: np.ndarray  # (B, n, n) ascending per query
+    weights: Tensor  # (B, n, n) softmax over the key axis
+    num_nodes: int
+
+    def __len__(self) -> int:
+        return self.selected_queries.shape[0]
+
+    def __iter__(self):
+        """Per-window views; they share storage and add no tape nodes."""
+        n = self.selected_queries.shape[1]
+        for b in range(len(self)):
+            yield SparseAdjacency(
+                selected_queries=self.selected_queries[b],
+                selected_keys=self.selected_keys[b],
+                weights=Tensor(self.weights.values[b]),
+                dot_product_count=2 * self.num_nodes * n,
+                num_nodes=self.num_nodes,
+            )
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Query rows (B, n) and key rows (B, n, n) in the stacked (B*N, D) layout."""
+        offsets = self.num_nodes * np.arange(len(self))[:, None]
+        return self.selected_queries + offsets, self.selected_keys + offsets[..., None]
 
 
 def project_qk(h: Tensor, wq: Tensor, wk: Tensor) -> tuple[Tensor, Tensor]:
@@ -98,34 +107,35 @@ def query_importance(q, k_sampled) -> Tensor:
     score_i = KL(uniform || softmax(q_i k_j / sqrt(D) over sampled j))
             = logsumexp(l_i) - mean(l_i) - ln n
     Zero when a query spreads its attention evenly; grows as it concentrates.
-    Returned as a constant (selection is not differentiated).
+    Leading batch axes are kept: (B, N, D) queries and (B, n, D) keys give
+    (B, N) scores.  Returned as a constant (selection is not differentiated).
     """
     qv = q.values if isinstance(q, Tensor) else np.asarray(q, dtype=np.float64)
     kv = k_sampled.values if isinstance(k_sampled, Tensor) else np.asarray(k_sampled, dtype=np.float64)
-    n = kv.shape[0]
+    n = kv.shape[-2]
     if n < 1:
         raise ContractError("query_importance requires at least one sampled key")
-    d = qv.shape[1]
-    logits = qv @ kv.T / math.sqrt(d)
-    peak = logits.max(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
-    scores = lse - logits.mean(axis=1) - math.log(n)
+    d = qv.shape[-1]
+    logits = qv @ np.swapaxes(kv, -1, -2) / math.sqrt(d)
+    peak = logits.max(axis=-1, keepdims=True)
+    lse = peak[..., 0] + np.log(np.exp(logits - peak).sum(axis=-1))
+    scores = lse - logits.mean(axis=-1) - math.log(n)
     return Tensor(np.maximum(scores, 0.0))  # clamp fp residue; KL >= 0
 
 
 def select_queries(scores, n: int) -> np.ndarray:
-    """Indices of the n largest scores, ties broken toward the lowest index."""
+    """Indices of the n largest scores along the last axis, ties toward the lowest index."""
     s = scores.values if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    if n > s.shape[0]:
-        raise ContractError(f"cannot select {n} queries from {s.shape[0]}")
-    order = np.argsort(-s, kind="stable")
-    return np.sort(order[:n])
+    if n > s.shape[-1]:
+        raise ContractError(f"cannot select {n} queries from {s.shape[-1]}")
+    return _top_per_row(s, n)
 
 
 def _top_per_row(values: np.ndarray, n: int) -> np.ndarray:
-    """Per-row indices of the n largest entries, ties toward the lowest index."""
-    order = np.argsort(-values, axis=1, kind="stable")
-    return np.sort(order[:, :n], axis=1)
+    """Indices of the n largest entries along the last axis, in ascending order;
+    ties go to the lowest index."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return np.sort(order[..., :n], axis=-1)
 
 
 def select_keys(q_selected, k) -> np.ndarray:
@@ -159,35 +169,21 @@ def build_sparse_adjacency(
     n_override: int | None = None,
     seed: int | None = None,
 ) -> SparseAdjacency:
-    """Compose sampling, query ranking, key selection, and the sparse softmax.
-
-    Exactly N*n dot products rank the queries and n*N score the selected
-    queries against all keys; the final softmax reuses the latter, so the
-    recorded count is 2*N*n.
-    """
-    n_nodes, dim = h.shape
+    """One window's graph as a batch of one, with the N x N matrix materialized."""
+    n_nodes = h.shape[0]
     n = n_override if n_override is not None else sample_count(cfg.sampling_c, n_nodes)
-    if not 1 <= n <= n_nodes:
-        raise ContractError(f"selection size {n} out of range [1, {n_nodes}]")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-
-    q, k = project_qk(h, wq, wk)
-    sampled = rng.choice(n_nodes, size=n, replace=False)
-    scores = query_importance(q.values, k.values[sampled])
-    sel_q = select_queries(scores, n)
-
-    q_sel = ad.take_rows(q, sel_q)
-    logits = ad.mul(ad.matmul(q_sel, ad.transpose(k)), 1.0 / math.sqrt(dim))
-    sel_keys = _top_per_row(logits.values, n)
-    weights = ad.softmax_rows(ad.gather_cols_per_row(logits, sel_keys))
-    matrix = ad.scatter_2d(weights, sel_q, sel_keys, (n_nodes, n_nodes))
-
+    graphs = build_sparse_adjacency_batch(
+        h, wq, wk, n_nodes, n, 1, cfg.seed if seed is None else seed
+    )
+    sel_q, sel_keys = graphs.selected_queries[0], graphs.selected_keys[0]
+    weights = ad.reshape(graphs.weights, (n, n))
     return SparseAdjacency(
-        matrix=matrix,
         selected_queries=sel_q,
         selected_keys=sel_keys,
         weights=weights,
         dot_product_count=2 * n_nodes * n,
+        num_nodes=n_nodes,
+        matrix=ad.scatter_2d(weights, sel_q, sel_keys, (n_nodes, n_nodes)),
     )
 
 
@@ -199,41 +195,35 @@ def build_sparse_adjacency_batch(
     n: int,
     batch: int,
     seed,
-) -> list[SparseAdjacency]:
-    """Per-window adjacencies over batched embedding rows (``batch`` windows).
+) -> GraphBatch:
+    """The graphs of ``batch`` windows whose N embedding rows are stacked in ``h``.
 
-    Same math as build_sparse_adjacency per window, but the q/k projections run
-    once over all rows, one generator drives every window's key sample, and the
-    N x N matrix is left unmaterialized.
+    Per window: sample n keys, keep the n queries whose attention over the
+    sample is most concentrated, then attend each of them to its n strongest
+    keys.  That is N*n dot products to rank the queries and n*N to score the
+    kept ones against every key (2*N*n in all; the softmax reuses the latter).
+    One generator draws every window's key sample, in window order; the
+    projections, scores, key gather and softmax each run once for the batch.
     """
+    if not 1 <= n <= n_nodes:
+        raise ContractError(f"selection size {n} out of range [1, {n_nodes}]")
     dim = h.shape[1]
     q, k = project_qk(h, wq, wk)
-    qv = q.values
-    kv = k.values
+    kv = k.values.reshape(batch, n_nodes, dim)
     rng = np.random.default_rng(seed)
-    out = []
-    for b in range(batch):
-        lo = b * n_nodes
-        sampled = lo + rng.choice(n_nodes, size=n, replace=False)
-        scores = query_importance(qv[lo : lo + n_nodes], kv[sampled]).values
-        sel_q = select_queries(scores, n)
+    sampled = np.stack([rng.choice(n_nodes, size=n, replace=False) for _ in range(batch)])
+    k_sampled = np.take_along_axis(kv, sampled[..., None], axis=1)
+    sel_q = select_queries(query_importance(q.values.reshape(batch, n_nodes, dim), k_sampled), n)
 
-        q_sel = ad.take_rows(q, lo + sel_q)
-        k_b = k[lo : lo + n_nodes]
-        logits = ad.mul(ad.matmul(q_sel, ad.transpose(k_b)), 1.0 / math.sqrt(dim))
-        sel_keys = _top_per_row(logits.values, n)
-        weights = ad.softmax_rows(ad.gather_cols_per_row(logits, sel_keys))
-        out.append(
-            SparseAdjacency(
-                matrix=None,
-                selected_queries=sel_q,
-                selected_keys=sel_keys,
-                weights=weights,
-                dot_product_count=2 * n_nodes * n,
-                num_nodes=n_nodes,
-            )
-        )
-    return out
+    offsets = n_nodes * np.arange(batch)[:, None]
+    q_sel = ad.reshape(ad.take_rows(q, (sel_q + offsets).reshape(-1)), (batch, n, dim))
+    k_t = ad.transpose(ad.reshape(k, (batch, n_nodes, dim)))
+    logits = ad.mul(ad.matmul(q_sel, k_t), 1.0 / math.sqrt(dim))  # (B, n, N)
+    sel_keys = _top_per_row(logits.values, n)
+    weights = ad.softmax_rows(ad.gather_last(logits, sel_keys))
+    return GraphBatch(
+        selected_queries=sel_q, selected_keys=sel_keys, weights=weights, num_nodes=n_nodes
+    )
 
 
 def dump_edges(adj: SparseAdjacency) -> list[tuple[int, int, float]]:

@@ -4,6 +4,10 @@ Each pathway owns a node encoder f (window -> embedding), a message net g
 applied to embedding differences, two GRUs, and a scalar gate network.  One
 round computes messages on the current edges, aggregates them per node with
 the adjacency weights, and blends the two GRU updates with the learned gate.
+
+Node states of a batch are stacked as (B*N, D) rows.  The graphs come as a
+:class:`~hgmts.latent_graph.GraphBatch`: n queries per window with n keys
+each, so the edges of a batch have the regular layout (B, n, n).
 """
 
 from __future__ import annotations
@@ -12,21 +16,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Tensor
-from .latent_graph import EdgeSet
-from .nn import GateUnit, GRUCell, MLP2, ParamRegistry
+from .latent_graph import GraphBatch
+from .nn import GateUnit, GRUCell, MLP2, ParamRegistry, gru_round
 
 
-def aggregate(messages: Tensor, weights: Tensor, targets, num_nodes: int) -> Tensor:
-    """Weighted sum of incoming messages per node; empty neighborhoods stay zero.
+def aggregate(messages: Tensor, weights: Tensor, rows, num_rows: int) -> Tensor:
+    """Weighted sum of each query's messages over its keys, written into its row.
 
-    messages: (E, D); weights: (E,); targets[e] is the node receiving edge e.
+    messages: (B*q*k, D) in (window, query, key) order; weights: (B, q, k);
+    rows: (B, q) distinct rows of the queries.  Rows of no query stay zero.
     """
-    targets = np.asarray(targets, dtype=np.intp)
-    if targets.size == 0:
-        d = messages.shape[1] if messages.ndim == 2 else 0
-        return Tensor(np.zeros((num_nodes, d)))
-    weighted = ad.mul(messages, ad.reshape(weights, (targets.size, 1)))
-    return ad.scatter_add_rows(weighted, targets, num_nodes)
+    b, q, k = weights.shape
+    m = ad.reshape(messages, (b, q, k, messages.shape[1]))
+    summed = ad.sum(ad.mul(m, ad.reshape(weights, (b, q, k, 1))), axis=2)  # (B, q, D)
+    return ad.put_rows(summed, rows, num_rows)
 
 
 class MessagePassingUnit:
@@ -67,42 +70,34 @@ class MessagePassingUnit:
 
     def compute_messages(self, h: Tensor, src, dst) -> Tensor:
         """g(h_src - h_dst) for each edge; (E, D)."""
-        src = np.asarray(src, dtype=np.intp)
-        dst = np.asarray(dst, dtype=np.intp)
-        if src.size == 0:
-            return Tensor(np.zeros((0, self.embed_dim)))
         diff = ad.sub(ad.take_rows(h, src), ad.take_rows(h, dst))
         return self.message_net(diff)
 
     def gated_update(self, h: Tensor, agg: Tensor) -> Tensor:
         """Blend the two GRU updates with a per-node sigmoid gate (fixed to the
-        first GRU when running single-GRU)."""
-        h1 = self.gru1(h, agg)
+        first GRU when running single-GRU); one tape node either way."""
         if self.gru2 is None:
-            return h1
-        h2 = self.gru2(h, agg)
-        beta = self.gate(ad.concat([h, agg], axis=1))  # (N, 1) in (0, 1)
-        return ad.add(ad.mul(beta, h1), ad.mul(ad.sub(1.0, beta), h2))
+            return self.gru1(h, agg)
+        return gru_round(h, agg, (self.gru1, self.gru2), self.gate)
 
     def run(self, x: Tensor, graph_fn, rounds: int, *, recompute_each_round: bool = False):
         """Encode, then ``rounds`` iterations of messages/aggregate/update.
 
-        ``graph_fn(h)`` returns the EdgeSet to use; by default it is called
-        once on the initial embeddings and the edges stay fixed.  rounds=0
+        ``graph_fn(h)`` returns the GraphBatch to use; by default it is called
+        once on the initial embeddings and the graphs stay fixed.  rounds=0
         returns the raw encoding (testing hook).
         """
         if rounds < 0:
             raise ContractError(f"rounds must be >= 0, got {rounds}")
         h = self.encode_nodes(x)
-        edges: EdgeSet | None = None
+        graph: GraphBatch | None = None
         for _ in range(rounds):
-            if edges is None or recompute_each_round:
-                edges = graph_fn(h)
-            m = self.compute_messages(h, edges.src, edges.dst)
-            agg = aggregate(m, edges.weights, edges.src, edges.num_nodes)
+            if graph is None or recompute_each_round:
+                graph = graph_fn(h)
+                query_rows, key_rows = graph.rows()
+                src = np.repeat(query_rows, key_rows.shape[-1])
+                dst = key_rows.reshape(-1)
+            m = self.compute_messages(h, src, dst)
+            agg = aggregate(m, graph.weights, query_rows, h.shape[0])
             h = self.gated_update(h, agg)
         return h
-
-
-def run_message_passing(unit: MessagePassingUnit, x: Tensor, graph_fn, rounds: int, **kw) -> Tensor:
-    return unit.run(x, graph_fn, rounds, **kw)

@@ -23,7 +23,7 @@ from .autodiff import ContractError, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decomposition import decompose
 from .latent_graph import (
-    EdgeSet,
+    GraphBatch,
     build_sparse_adjacency_batch,
     c_for_gamma,
     sample_count,
@@ -125,8 +125,8 @@ class ForwardContext:
     seed: int
     pass_index: int = 0
     collect: bool = False
-    shared_edges: dict = field(default_factory=dict)  # variant 3: pathway -> EdgeSet
-    block_edges: dict = field(default_factory=dict)  # variant 2: block key -> EdgeSet
+    shared_edges: dict = field(default_factory=dict)  # variant 3: pathway -> GraphBatch
+    block_edges: dict = field(default_factory=dict)  # variant 2: block key -> GraphBatch
     graph_records: list = field(default_factory=list)  # (stack, block, pathway, window, adj)
     block_records: list = field(default_factory=list)
     graph_builds: int = 0
@@ -175,12 +175,11 @@ class Block:
             return False
         return True
 
-    def _build_edges(self, pathway_name: str, h: Tensor, batch: int, ctx: ForwardContext) -> EdgeSet:
-        """Per-window sparse adjacencies over the batched embedding rows."""
+    def _build_edges(self, pathway_name: str, h: Tensor, batch: int,
+                     ctx: ForwardContext) -> GraphBatch:
+        """The batch's sparse graphs over the stacked embedding rows."""
         cfg = self.cfg
         pw = self.pathways[pathway_name]
-        n_nodes = cfg.n_nodes
-        n = cfg.selection_size()
         path_idx = list(self.pathways).index(pathway_name)
         seed = np.random.SeedSequence(
             [
@@ -192,31 +191,21 @@ class Block:
                 ctx.graph_builds,
             ]
         )
-        adjacencies = build_sparse_adjacency_batch(
-            h, pw.wq.tensor, pw.wk.tensor, n_nodes, n, batch, seed
+        graphs = build_sparse_adjacency_batch(
+            h, pw.wq.tensor, pw.wk.tensor, cfg.n_nodes, cfg.selection_size(), batch, seed
         )
         ctx.graph_builds += batch
-        src_parts, dst_parts, weight_parts = [], [], []
-        for b, adj in enumerate(adjacencies):
-            if ctx.collect:
-                ctx.graph_records.append(
-                    (self.stack_index, self.block_index, pathway_name, b, adj)
-                )
-            es = adj.edge_set()
-            src_parts.append(es.src + b * n_nodes)
-            dst_parts.append(es.dst + b * n_nodes)
-            weight_parts.append(es.weights)
-        return EdgeSet(
-            src=np.concatenate(src_parts),
-            dst=np.concatenate(dst_parts),
-            weights=ad.concat(weight_parts, axis=0),
-            num_nodes=batch * n_nodes,
-        )
+        if ctx.collect:
+            ctx.graph_records.extend(
+                (self.stack_index, self.block_index, pathway_name, b, adj)
+                for b, adj in enumerate(graphs)
+            )
+        return graphs
 
     def _graph_fn(self, pathway_name: str, batch: int, ctx: ForwardContext):
         wiring = self.wiring
 
-        def fn(h: Tensor) -> EdgeSet:
+        def fn(h: Tensor) -> GraphBatch:
             if wiring.share_graph_across_blocks:
                 cached = ctx.shared_edges.get(pathway_name)
                 if cached is not None:

@@ -130,15 +130,7 @@ class GRUCell:
         self.bh = reg.bias(f"{prefix}.bh", d_state)
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        hx = ad.concat([h, x], axis=1)
-        z = ad.sigmoid(ad.affine(hx, self.wz.tensor, self.bz.tensor))
-        r = ad.sigmoid(ad.affine(hx, self.wr.tensor, self.br.tensor))
-        rhx = ad.concat([ad.mul(r, h), x], axis=1)
-        cand = ad.tanh(ad.affine(rhx, self.wh.tensor, self.bh.tensor))
-        return ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, cand))
-
-    def param_names(self) -> list[str]:
-        return [p.name for p in (self.wz, self.bz, self.wr, self.br, self.wh, self.bh)]
+        return gru_round(h, x, (self,))
 
 
 class GateUnit:
@@ -150,3 +142,80 @@ class GateUnit:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.sigmoid(self.l2(ad.relu(self.l1(x))))
+
+
+def gru_round(h: Tensor, x: Tensor, cells, gate: GateUnit | None = None) -> Tensor:
+    """One recurrent update of row states ``h`` from inputs ``x``, as one tape node.
+
+    With one cell this is that cell's GRU update.  With two cells and a gate it
+    is beta * h1 + (1 - beta) * h2, where h1, h2 are the cells' updates and
+    beta = gate(concat(h, x)) is one scalar per row.  Every cell's z and r
+    gates and the gate's hidden layer read concat(h, x), so they share one
+    GEMM against their column-stacked weights; the backward is written out.
+    """
+    if (gate is None) != (len(cells) == 1):
+        raise ContractError("gru_round takes one cell without a gate or two cells with one")
+    hv, xv = h.values, x.values
+    d = hv.shape[1]
+    hx = np.concatenate([hv, xv], axis=1)
+    stacked = [p for cell in cells for p in ((cell.wz, cell.bz), (cell.wr, cell.br))]
+    if gate is not None:
+        stacked.append((gate.l1.w, gate.l1.b))
+    w_cat = np.concatenate([w.values for w, _ in stacked], axis=1)
+    pre = hx @ w_cat
+    pre += np.concatenate([b.values for _, b in stacked])
+    zr = ad.sigmoid_values(pre[:, : 2 * d * len(cells)])  # z1 | r1 [| z2 | r2]
+
+    saved, outs = [], []
+    for c, cell in enumerate(cells):
+        z, r = zr[:, 2 * c * d : (2 * c + 1) * d], zr[:, (2 * c + 1) * d : (2 * c + 2) * d]
+        rhx = np.concatenate([r * hv, xv], axis=1)
+        cand = rhx @ cell.wh.values
+        cand += cell.bh.values
+        cand = np.tanh(cand)
+        outs.append((1.0 - z) * hv + z * cand)
+        saved.append((z, r, rhx, cand))
+    if gate is None:
+        out = outs[0]
+    else:
+        a_pre = pre[:, 2 * d * len(cells) :]
+        a = np.maximum(a_pre, 0.0)
+        b_pre = a @ gate.l2.w.values
+        b_pre += gate.l2.b.values
+        beta = ad.sigmoid_values(b_pre)  # (rows, 1)
+        out = beta * outs[0] + (1.0 - beta) * outs[1]
+
+    def grad_fn(g):
+        dh, dx = 0.0, 0.0
+        d_pre, cell_grads = [], []
+        g_cells = (g,) if gate is None else (g * beta, g * (1.0 - beta))
+        for cell, gc, (z, r, rhx, cand) in zip(cells, g_cells, saved):
+            d_cand_pre = gc * z * (1.0 - cand * cand)
+            d_rhx = d_cand_pre @ cell.wh.values.T
+            d_rh = d_rhx[:, :d]
+            dh = dh + gc * (1.0 - z) + d_rh * r
+            dx = dx + d_rhx[:, d:]
+            d_pre += [gc * (cand - hv) * z * (1.0 - z), d_rh * hv * r * (1.0 - r)]
+            cell_grads.append((rhx.T @ d_cand_pre, d_cand_pre.sum(axis=0)))
+        if gate is not None:
+            d_b_pre = (g * (outs[0] - outs[1])).sum(axis=1, keepdims=True) * beta * (1.0 - beta)
+            d_pre.append((d_b_pre @ gate.l2.w.values.T) * (a_pre > 0))
+        d_pre = np.concatenate(d_pre, axis=1)
+        d_hx = d_pre @ w_cat.T
+        d_w, d_b = hx.T @ d_pre, d_pre.sum(axis=0)
+        grads = [dh + d_hx[:, :d], dx + d_hx[:, d:]]
+        for c, (d_wh, d_bh) in enumerate(cell_grads):
+            for lo in (2 * c * d, (2 * c + 1) * d):  # z, then r
+                grads += [d_w[:, lo : lo + d], d_b[lo : lo + d]]
+            grads += [d_wh, d_bh]
+        if gate is not None:
+            lo = 2 * d * len(cells)
+            grads += [d_w[:, lo:], d_b[lo:], a.T @ d_b_pre, d_b_pre.sum(axis=0)]
+        return tuple(grads)
+
+    parents = [h, x]
+    for cell in cells:
+        parents += [p.tensor for p in (cell.wz, cell.bz, cell.wr, cell.br, cell.wh, cell.bh)]
+    if gate is not None:
+        parents += [p.tensor for p in (gate.l1.w, gate.l1.b, gate.l2.w, gate.l2.b)]
+    return Tensor(out, tuple(parents), grad_fn)

@@ -4,6 +4,8 @@ The reference implementations here are written directly against numpy and are
 kept independent of the package's tape so they can serve as oracles.
 """
 
+import math
+
 import numpy as np
 
 from hgmts import autodiff as ad
@@ -80,6 +82,46 @@ def ref_gru(h, x, wz, bz, wr, br, wh, bh):
     rhx = np.concatenate([r * h, x], axis=1)
     cand = np.tanh(rhx @ wh + bh)
     return (1.0 - z) * h + z * cand
+
+
+def ref_gated_update(h, x, gru1, gru2=None, gate=None):
+    """One recurrent round: gru1 alone, or beta * gru1 + (1 - beta) * gru2 with
+    beta = sigmoid(mlp2(concat(h, x))).  Arguments after x are parameter tuples
+    in the order of ``gru_param_values`` and ``mlp_param_values``."""
+    h1 = ref_gru(h, x, *gru1)
+    if gru2 is None:
+        return h1
+    beta = ref_sigmoid(ref_mlp2(np.concatenate([h, x], axis=1), *gate))
+    return beta * h1 + (1.0 - beta) * ref_gru(h, x, *gru2)
+
+
+def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, batch, seed):
+    """Per-window loop over B windows of N stacked rows of ``h`` (plain arrays).
+
+    Same draws and selections as the package builder: one generator samples
+    every window's n keys in window order; the n queries whose attention over
+    the sample diverges most from uniform are kept, each with its n strongest
+    keys (ties toward the lowest index).  Returns (selected queries (B, n),
+    selected keys (B, n, n), softmax weights (B, n, n)).
+    """
+    q, k = h @ wq, h @ wk
+    scale = math.sqrt(h.shape[1])
+    rng = np.random.default_rng(seed)
+    sel_qs, sel_ks, weights = [], [], []
+    for b in range(batch):
+        qb, kb = q[b * n_nodes : (b + 1) * n_nodes], k[b * n_nodes : (b + 1) * n_nodes]
+        sampled = rng.choice(n_nodes, size=n, replace=False)
+        logits = qb @ kb[sampled].T / scale
+        peak = logits.max(axis=1, keepdims=True)
+        lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
+        scores = np.maximum(lse - logits.mean(axis=1) - math.log(n), 0.0)
+        sel_q = np.sort(np.argsort(-scores, kind="stable")[:n])
+        key_logits = qb[sel_q] @ kb.T * (1.0 / scale)
+        sel_k = np.sort(np.argsort(-key_logits, axis=1, kind="stable")[:, :n], axis=1)
+        sel_qs.append(sel_q)
+        sel_ks.append(sel_k)
+        weights.append(ref_softmax_rows(np.take_along_axis(key_logits, sel_k, axis=1)))
+    return np.stack(sel_qs), np.stack(sel_ks), np.stack(weights)
 
 
 def gru_param_values(cell):

@@ -137,10 +137,10 @@ class TestElementwiseGradients:
         cols = np.array([[0, 2], [1, 3], [5, 0], [2, 4]])
 
         def loss():
-            picked = ad.gather_cols_per_row(a, cols)
+            picked = ad.gather_last(a, cols)
             spread = ad.scatter_2d(picked, np.array([1, 0, 3, 2]), cols, (4, 6))
-            pooled = ad.scatter_add_rows(picked, np.array([0, 1, 0, 1]), 2)
-            return ad.add(ad.sum(ad.mul(spread, spread)), ad.sum(ad.mul(pooled, pooled)))
+            placed = ad.put_rows(picked, np.array([3, 0, 4, 1]), 5)
+            return ad.add(ad.sum(ad.mul(spread, spread)), ad.sum(ad.mul(placed, placed)))
 
         assert finite_diff_max_err(loss, [a]) < 1e-4
 
@@ -161,6 +161,64 @@ class TestElementwiseGradients:
         np.testing.assert_allclose(fused.values, plain.values, atol=1e-15)
         err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.affine(x, w, b), ad.affine(x, w, b))),
                                   [x, w, b])
+        assert err < 1e-4
+
+
+class TestBatchedGraphOps:
+    """The batch-shaped ops of the graph path: (B, n, n) layouts, no add.at."""
+
+    def test_batched_matmul_transpose_softmax_gradients(self):
+        rng = np.random.default_rng(41)
+        a = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
+        b = Tensor(rng.uniform(-1, 1, (2, 5, 4)))
+        probe = Tensor(rng.uniform(-1, 1, (2, 3, 5)))
+        out = ad.matmul(a, ad.transpose(b)).values
+        np.testing.assert_allclose(out, np.einsum("bid,bjd->bij", a.values, b.values), atol=1e-15)
+        err = finite_diff_max_err(
+            lambda: ad.sum(ad.mul(ad.softmax_rows(ad.matmul(a, ad.transpose(b))), probe)), [a, b])
+        assert err < 1e-4
+
+    def test_batched_matmul_rejects_mismatched_batches(self):
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    def test_key_axis_gather_gradient(self):
+        rng = np.random.default_rng(42)
+        a = Tensor(rng.uniform(-1, 1, (2, 3, 6)))
+        idx = np.sort([[rng.permutation(6)[:4] for _ in range(3)] for _ in range(2)], axis=-1)
+        out = ad.gather_last(a, idx).values
+        for b in range(2):
+            for i in range(3):
+                np.testing.assert_array_equal(out[b, i], a.values[b, i, idx[b, i]])
+        probe = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
+        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.gather_last(a, idx), probe)), [a])
+        assert err < 1e-4
+
+    def test_take_rows_repeated_indices_gradient(self):
+        # groups of one to a dozen repeats, one row never taken
+        rng = np.random.default_rng(43)
+        a = Tensor(rng.uniform(-1, 1, (5, 3)))
+        idx = rng.permutation(np.repeat([0, 1, 2, 4], [1, 3, 8, 12]))
+        probe = rng.uniform(-1, 1, (idx.size, 3))
+        ad.backward(ad.sum(ad.mul(ad.take_rows(a, idx), Tensor(probe))))
+        expected = np.zeros((5, 3))
+        for e, row in enumerate(idx):
+            expected[row] += probe[e]
+        np.testing.assert_allclose(a.grad, expected, atol=1e-14)
+        a.grad = None
+        err = finite_diff_max_err(
+            lambda: ad.sum(ad.mul(ad.take_rows(a, idx), ad.take_rows(a, idx))), [a])
+        assert err < 1e-4
+
+    def test_put_rows_into_unique_query_rows(self):
+        rng = np.random.default_rng(44)
+        a = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
+        rows = np.array([[0, 2, 4], [5, 6, 9]])
+        out = ad.put_rows(a, rows, 10).values
+        np.testing.assert_array_equal(out[rows], a.values)
+        np.testing.assert_array_equal(out[[1, 3, 7, 8]], 0.0)
+        probe = Tensor(rng.uniform(-1, 1, (10, 4)))
+        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.put_rows(a, rows, 10), probe)), [a])
         assert err < 1e-4
 
 

@@ -40,6 +40,14 @@ class TestLoadCsv:
         with pytest.raises(ContractError, match=r"row 2.*'temp'"):
             load_csv(path)
 
+    def test_non_finite_cells_name_row_and_column(self, tmp_path):
+        path = write(tmp_path, "ts,a,b\n1,1.0,nan\n2,inf,2.0\n")
+        with pytest.raises(ContractError, match=r"non-finite.*row 1.*'b'"):
+            load_csv(path)
+        path = write(tmp_path, "ts,a,b\n1,1.0,2.0\n2,-inf,2.0\n", name="neg.csv")
+        with pytest.raises(ContractError, match=r"non-finite.*row 2.*'a'"):
+            load_csv(path)
+
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         path = write(tmp_path, "ts,a\n1,1.0\n3,2.0\n2,3.0\n")
         with pytest.raises(ContractError, match="non-monotone"):

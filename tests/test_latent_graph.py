@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_diff_max_err, ref_softmax_rows
+from helpers import finite_diff_max_err, ref_softmax_rows, ref_sparse_adjacency_batch
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.latent_graph import (
@@ -186,13 +186,14 @@ class TestSparseAdjacency:
         adj = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=0))  # n = floor(ln 10) = 2
         matrix = adj.matrix.values
         selected = set(adj.selected_queries.tolist())
+        keys_of = dict(zip(adj.selected_queries.tolist(), adj.selected_keys))
         assert len(selected) == 2
         for i in range(10):
             if i in selected:
                 np.testing.assert_allclose(matrix[i].sum(), 1.0, atol=1e-10)
-                assert (matrix[i][adj.selected_keys_per_query[i]] > 0).all()
+                assert (matrix[i][keys_of[i]] > 0).all()
                 mask = np.ones(10, bool)
-                mask[adj.selected_keys_per_query[i]] = False
+                mask[keys_of[i]] = False
                 np.testing.assert_array_equal(matrix[i][mask], 0.0)
             else:
                 np.testing.assert_array_equal(matrix[i], 0.0)
@@ -237,15 +238,21 @@ class TestSparseAdjacency:
         wq = Tensor(rng.uniform(-1, 1, (d, d)))
         wk = Tensor(rng.uniform(-1, 1, (d, d)))
         seed = np.random.SeedSequence([1, 2, 3])
-        batched = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n_nodes, batch, seed)
+        for n in (2, n_nodes):  # the numpy oracle also covers a proper subset
+            ref_q, ref_k, ref_w = ref_sparse_adjacency_batch(
+                h.values, wq.values, wk.values, n_nodes, n, batch, seed)
+            batched = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, batch, seed)
+            assert batched.weights.shape == (batch, n, n)
+            np.testing.assert_array_equal(batched.selected_queries, ref_q)
+            np.testing.assert_array_equal(batched.selected_keys, ref_k)
+            np.testing.assert_allclose(batched.weights.values, ref_w, atol=1e-12)
         for b, adj in enumerate(batched):
             win = Tensor(h.values[b * n_nodes : (b + 1) * n_nodes])
             single = build_sparse_adjacency(win, wq, wk, LgslConfig(1.0), n_override=n_nodes)
-            es = adj.edge_set()
             np.testing.assert_array_equal(adj.selected_queries, single.selected_queries)
             np.testing.assert_array_equal(adj.selected_keys, single.selected_keys)
             np.testing.assert_allclose(adj.weights.values, single.weights.values, atol=1e-12)
-            assert es.num_nodes == n_nodes
+            assert adj.num_nodes == n_nodes
 
     def test_dump_edges_matches_matrix(self):
         rng = np.random.default_rng(17)

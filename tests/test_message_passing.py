@@ -8,15 +8,21 @@ from helpers import (
     gru_param_values,
     jitter_params,
     mlp_param_values,
+    ref_gated_update,
     ref_gru,
     ref_mlp2,
     ref_sigmoid,
 )
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
-from hgmts.latent_graph import EdgeSet, LgslConfig, build_sparse_adjacency
-from hgmts.message_passing import MessagePassingUnit, aggregate, run_message_passing
-from hgmts.nn import ParamRegistry
+from hgmts.latent_graph import (
+    GraphBatch,
+    LgslConfig,
+    build_sparse_adjacency,
+    build_sparse_adjacency_batch,
+)
+from hgmts.message_passing import MessagePassingUnit, aggregate
+from hgmts.nn import ParamRegistry, gru_round
 
 
 def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
@@ -25,12 +31,11 @@ def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
     return unit, reg
 
 
-def full_edge_set(n):
-    """Dense uniform adjacency over n nodes as an explicit edge view."""
-    src = np.repeat(np.arange(n), n)
-    dst = np.tile(np.arange(n), n)
-    w = Tensor(np.full(n * n, 1.0 / n))
-    return EdgeSet(src=src, dst=dst, weights=w, num_nodes=n)
+def full_graph(n):
+    """Dense uniform adjacency over n nodes as a (1, n, n) graph batch."""
+    return GraphBatch(selected_queries=np.arange(n)[None],
+                      selected_keys=np.tile(np.arange(n), (1, n, 1)),
+                      weights=Tensor(np.full((1, n, n), 1.0 / n)), num_nodes=n)
 
 
 class TestEncodeNodes:
@@ -96,18 +101,19 @@ class TestComputeMessages:
 
 class TestAggregate:
     def test_empty_neighborhood_is_zero(self):
-        out = aggregate(Tensor(np.zeros((0, 4))), Tensor(np.zeros(0)), [], 3)
+        no_queries = np.zeros((1, 0), int)
+        out = aggregate(Tensor(np.zeros((0, 4))), Tensor(np.zeros((1, 0, 0))), no_queries, 3)
         np.testing.assert_array_equal(out.values, np.zeros((3, 4)))
 
     def test_single_neighbor_full_weight(self):
         m = np.random.default_rng(8).uniform(-1, 1, (1, 4))
-        out = aggregate(Tensor(m), Tensor(np.ones(1)), [2], 3)
+        out = aggregate(Tensor(m), Tensor(np.ones((1, 1, 1))), [[2]], 3)
         np.testing.assert_array_equal(out.values[2], m[0])
         np.testing.assert_array_equal(out.values[[0, 1]], np.zeros((2, 4)))
 
     def test_two_neighbors_weighted_sum(self):
         m = np.random.default_rng(9).uniform(-1, 1, (2, 4))
-        out = aggregate(Tensor(m), Tensor(np.array([0.25, 0.75])), [1, 1], 3)
+        out = aggregate(Tensor(m), Tensor(np.array([[[0.25, 0.75]]])), [[1]], 3)
         np.testing.assert_allclose(out.values[1], 0.25 * m[0] + 0.75 * m[1], atol=1e-15)
 
 
@@ -160,6 +166,40 @@ class TestGatedUpdate:
         hi = np.maximum(h1, h2) + 1e-12
         assert (out >= lo).all() and (out <= hi).all()
 
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_fused_round_matches_reference_oracle(self, single_gru):
+        unit, reg = make_unit(seed=40, single_gru=single_gru)
+        jitter_params(reg, seed=41)
+        rng = np.random.default_rng(42)
+        h = rng.uniform(-1, 1, (5, 4))
+        agg = rng.uniform(-1, 1, (5, 4))
+        cells = (unit.gru1,) if single_gru else (unit.gru1, unit.gru2)
+        gate = None if single_gru else unit.gate
+        expected = ref_gated_update(
+            h, agg, *[gru_param_values(c) for c in cells],
+            gate=None if gate is None else mlp_param_values(gate))
+        out = gru_round(Tensor(h), Tensor(agg), cells, gate)
+        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        via_unit = unit.gated_update(Tensor(h), Tensor(agg))
+        np.testing.assert_array_equal(via_unit.values, out.values)
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_fused_round_gradient_check(self, single_gru):
+        unit, reg = make_unit(input_len=5, embed=3, hidden=3, seed=43, single_gru=single_gru)
+        jitter_params(reg, seed=44)
+        rng = np.random.default_rng(45)
+        h = Tensor(rng.uniform(-1, 1, (4, 3)))
+        agg = Tensor(rng.uniform(-1, 1, (4, 3)))
+        probe = Tensor(rng.uniform(-1, 1, (4, 3)))
+        recurrent = [p.tensor for name, p in reg.params.items()
+                     if ".gru" in name or ".gate" in name]
+
+        def loss():
+            out = unit.gated_update(h, agg)
+            return ad.sum(ad.mul(ad.mul(out, out), probe))
+
+        assert finite_diff_max_err(loss, [h, agg] + recurrent) < 1e-4
+
     def test_single_gru_unit_returns_first_update(self):
         unit, _ = make_unit(seed=18, single_gru=True)
         assert unit.gru2 is None and unit.gate is None
@@ -174,13 +214,13 @@ class TestRunMessagePassing:
     def test_zero_rounds_returns_encoding(self):
         unit, _ = make_unit(seed=20)
         x = Tensor(np.random.default_rng(21).uniform(-1, 1, (3, 6)))
-        out = run_message_passing(unit, x, lambda h: full_edge_set(3), 0)
+        out = unit.run(x, lambda h: full_graph(3), 0)
         np.testing.assert_array_equal(out.values, unit.encode_nodes(x).values)
 
     def test_negative_rounds_rejected(self):
         unit, _ = make_unit()
         with pytest.raises(ContractError):
-            unit.run(Tensor(np.zeros((2, 6))), lambda h: full_edge_set(2), -1)
+            unit.run(Tensor(np.zeros((2, 6))), lambda h: full_graph(2), -1)
 
     def test_single_node_self_message(self):
         """N=1: the graph is the self-loop with weight one and g(0) drives the update."""
@@ -192,7 +232,7 @@ class TestRunMessagePassing:
         def graph_fn(h):
             adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, LgslConfig(1.0))
             np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
-            return adj.edge_set()
+            return build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 1, 0)
 
         out = unit.run(x, graph_fn, 1).values
         h0 = unit.encode_nodes(x).values
@@ -207,12 +247,13 @@ class TestRunMessagePassing:
     def test_one_round_matches_stepwise_composition(self):
         unit, _ = make_unit(seed=24)
         x = Tensor(np.random.default_rng(25).uniform(-1, 1, (3, 6)))
-        edges = full_edge_set(3)
+        edges = full_graph(3)
         out = unit.run(x, lambda h: edges, 1).values
 
         h0 = unit.encode_nodes(x)
-        msgs = unit.compute_messages(h0, edges.src, edges.dst)
-        agg = aggregate(msgs, edges.weights, edges.src, 3)
+        query_rows, key_rows = edges.rows()
+        msgs = unit.compute_messages(h0, np.repeat(query_rows, 3), key_rows.reshape(-1))
+        agg = aggregate(msgs, edges.weights, query_rows, 3)
         expected = unit.gated_update(h0, agg).values
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -222,14 +263,15 @@ class TestRunMessagePassing:
         x = rng.uniform(-1, 1, (4, 6))
         perm = rng.permutation(4)
 
-        base = unit.run(Tensor(x), lambda h: full_edge_set(4), 3).values
-        permuted = unit.run(Tensor(x[perm]), lambda h: full_edge_set(4), 3).values
+        base = unit.run(Tensor(x), lambda h: full_graph(4), 3).values
+        permuted = unit.run(Tensor(x[perm]), lambda h: full_graph(4), 3).values
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_zero_adjacency_keeps_nodes_independent(self):
         unit, _ = make_unit(seed=28)
-        empty = EdgeSet(src=np.array([], int), dst=np.array([], int),
-                        weights=Tensor(np.zeros(0)), num_nodes=3)
+        empty = GraphBatch(selected_queries=np.zeros((1, 0), int),
+                           selected_keys=np.zeros((1, 0, 0), int),
+                           weights=Tensor(np.zeros((1, 0, 0))), num_nodes=3)
         rng = np.random.default_rng(29)
         x = rng.uniform(-1, 1, (3, 6))
         base = unit.run(Tensor(x), lambda h: empty, 2).values
@@ -250,8 +292,7 @@ class TestRunMessagePassing:
         probe = np.random.default_rng(32).uniform(-1, 1, (3, 3))
 
         def graph_fn(h):
-            return build_sparse_adjacency(h, wq.tensor, wk.tensor,
-                                          LgslConfig(1.0, seed=5), n_override=3).edge_set()
+            return build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 1, 5)
 
         def loss():
             out = unit.run(x, graph_fn, 3)
@@ -280,11 +321,9 @@ class TestRunMessagePassing:
             q, k = ad.matmul(h, wq.tensor), ad.matmul(h, wk.tensor)
             logits = ad.mul(ad.matmul(ad.take_rows(q, sel_q), ad.transpose(k)),
                             1.0 / np.sqrt(3))
-            weights = ad.softmax_rows(ad.gather_cols_per_row(logits, sel_keys))
-            from hgmts.latent_graph import EdgeSet as ES
-
-            return ES(src=np.repeat(sel_q, 2), dst=sel_keys.reshape(-1),
-                      weights=ad.reshape(weights, (4,)), num_nodes=3)
+            weights = ad.softmax_rows(ad.gather_last(logits, sel_keys))
+            return GraphBatch(selected_queries=sel_q[None], selected_keys=sel_keys[None],
+                              weights=ad.reshape(weights, (1, 2, 2)), num_nodes=3)
 
         def loss():
             return ad.sum(ad.mul(unit.run(x, graph_fn, 3), Tensor(probe)))

@@ -2,34 +2,57 @@
 
 Each pathway owns a node encoder f (window -> embedding), a message net g
 applied to embedding differences, two GRUs, and a scalar gate network.  One
-round computes messages on the current edges, aggregates them per node with
-the adjacency weights, and blends the two GRU updates with the learned gate.
+round sends each query q the weighted sum of messages g(h_q - h_k) over its
+keys k, and blends the two GRU updates with the learned gate.
 
 Node states of a batch are stacked as (B*N, D) rows.  The graphs come as a
 :class:`~hgmts.latent_graph.GraphBatch`: n queries per window with n keys
-each, so the edges of a batch have the regular layout (B, n, n).
+each, so the edges of a batch have the regular layout (B, n, n).  The round
+never forms a per-edge input or output row, by two identities of the message
+net g(v) = relu(v W1 + b1) W2 + b2:
+
+- its first layer is linear, so (h_q - h_k) W1 + b1 = P_q - P_k + b1 with
+  P = h W1 computed once on the B*N node rows;
+- its output layer is affine, so sum_k w_qk g(h_q - h_k)
+  = (sum_k w_qk a_qk) W2 + (sum_k w_qk) b2, where a_qk is the hidden layer,
+  and it runs on the B*n query rows.
+
+The GRU input (the aggregate) exists only on the B*n query rows; every other
+row's input is zero and never stored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 from .latent_graph import GraphBatch
-from .nn import GateUnit, GRUCell, MLP2, ParamRegistry, gru_round
+from .nn import GateUnit, GRUCell, Linear, MLP2, ParamRegistry, gru_round
 
 
-def aggregate(messages: Tensor, weights: Tensor, rows, num_rows: int) -> Tensor:
-    """Weighted sum of each query's messages over its keys, written into its row.
+def aggregate(hidden: Tensor, weights: Tensor, out_layer: Linear) -> Tensor:
+    """Weighted sum of each query's messages over its keys, on the query rows.
 
-    messages: (B*q*k, D) in (window, query, key) order; weights: (B, q, k);
-    rows: (B, q) distinct rows of the queries.  Rows of no query stay zero.
+    hidden: (B, q, k, H) message hidden layer a_qk; weights: (B, q, k).
+    Returns (B*q, D) = (sum_k w_qk a_qk) W2 + (sum_k w_qk) b2, one row per
+    query in (window, query) order: the output layer runs once per query.
     """
-    b, q, k = weights.shape
-    m = ad.reshape(messages, (b, q, k, messages.shape[1]))
-    summed = ad.sum(ad.mul(m, ad.reshape(weights, (b, q, k, 1))), axis=2)  # (B, q, D)
-    return ad.put_rows(summed, rows, num_rows)
+    av, wv = hidden.values, weights.values
+    b, q, k, width = av.shape
+    w2, b2 = out_layer.w.tensor, out_layer.b.tensor
+    summed = np.einsum("bqk,bqkh->bqh", wv, av).reshape(b * q, width)
+    w_sum = wv.sum(axis=2).reshape(b * q, 1)
+    out = summed @ w2.values
+    out += w_sum * b2.values
+
+    def grad_fn(g):
+        d_summed = (g @ w2.values.T).reshape(b, q, width)
+        d_weights = np.einsum("bqkh,bqh->bqk", av, d_summed)
+        d_weights += (g @ b2.values).reshape(b, q, 1)
+        d_hidden = wv[..., None] * d_summed[:, :, None, :]
+        return d_hidden, d_weights, summed.T @ g, (w_sum * g).sum(axis=0)
+
+    return Tensor(out, (hidden, weights, w2, b2), grad_fn)
 
 
 class MessagePassingUnit:
@@ -68,17 +91,41 @@ class MessagePassingUnit:
             raise ContractError(f"window length {x.shape[1]} != configured {self.input_len}")
         return self.encoder(x)
 
-    def compute_messages(self, h: Tensor, src, dst) -> Tensor:
-        """g(h_src - h_dst) for each edge; (E, D)."""
-        diff = ad.sub(ad.take_rows(h, src), ad.take_rows(h, dst))
-        return self.message_net(diff)
+    def compute_messages(self, h: Tensor, query_rows, key_rows) -> Tensor:
+        """Hidden layer of the message net on every edge, (B, q, k, H).
 
-    def gated_update(self, h: Tensor, agg: Tensor) -> Tensor:
+        a_qk = relu((h_q - h_k) W1 + b1), computed as relu(P_q - P_k + b1) with
+        P = h W1 on the node rows.  query_rows (B, q) are distinct rows of h;
+        key_rows (B, q, k) are distinct within each query's row.
+        """
+        l1 = self.message_net.l1
+        w1, b1 = l1.w.tensor, l1.b.tensor
+        hv = h.values
+        p = hv @ w1.values
+        pre = p[query_rows][:, :, None, :] - p[key_rows]
+        pre += b1.values
+        out = np.maximum(pre, 0.0)
+
+        def grad_fn(g):
+            d_pre = g * (pre > 0)
+            d_p = np.zeros_like(p)
+            d_query = np.einsum("bqkh->bqh", d_pre)
+            d_p[query_rows] = d_query
+            # queries share keys; one query at a time keeps each write free of
+            # repeats and the sum in a fixed order
+            for j in range(key_rows.shape[1]):
+                d_p[key_rows[:, j]] -= d_pre[:, j]
+            return d_p @ w1.values.T, hv.T @ d_p, d_query.sum(axis=(0, 1))
+
+        return Tensor(out, (h, w1, b1), grad_fn)
+
+    def gated_update(self, h: Tensor, agg: Tensor, rows) -> Tensor:
         """Blend the two GRU updates with a per-node sigmoid gate (fixed to the
-        first GRU when running single-GRU); one tape node either way."""
+        first GRU when running single-GRU); one tape node either way.  ``agg``
+        is the input of rows ``rows``; every other row's input is zero."""
         if self.gru2 is None:
-            return self.gru1(h, agg)
-        return gru_round(h, agg, (self.gru1, self.gru2), self.gate)
+            return gru_round(h, agg, rows, (self.gru1,))
+        return gru_round(h, agg, rows, (self.gru1, self.gru2), self.gate)
 
     def run(self, x: Tensor, graph_fn, rounds: int, *, recompute_each_round: bool = False):
         """Encode, then ``rounds`` iterations of messages/aggregate/update.
@@ -95,9 +142,7 @@ class MessagePassingUnit:
             if graph is None or recompute_each_round:
                 graph = graph_fn(h)
                 query_rows, key_rows = graph.rows()
-                src = np.repeat(query_rows, key_rows.shape[-1])
-                dst = key_rows.reshape(-1)
-            m = self.compute_messages(h, src, dst)
-            agg = aggregate(m, graph.weights, query_rows, h.shape[0])
-            h = self.gated_update(h, agg)
+            hidden = self.compute_messages(h, query_rows, key_rows)
+            agg = aggregate(hidden, graph.weights, self.message_net.l2)
+            h = self.gated_update(h, agg, query_rows.reshape(-1))
         return h

@@ -95,6 +95,25 @@ def ref_gated_update(h, x, gru1, gru2=None, gate=None):
     return beta * h1 + (1.0 - beta) * ref_gru(h, x, *gru2)
 
 
+def ref_message_round(h, query_rows, key_rows, weights, msg, gru1, gru2=None, gate=None):
+    """One message-passing round edge by edge, on plain arrays.
+
+    query_rows (B, q) and key_rows (B, q, k) index the stacked rows of ``h``;
+    weights is (B, q, k).  Every edge gathers its source (query) and
+    destination (key) rows, runs the message net ``msg`` (an MLP2 parameter
+    tuple) on h_src - h_dst, and each query's weighted sum over its keys is
+    written into its row of a zero (B*N, D) input; then ``ref_gated_update``.
+    """
+    b, q, k = weights.shape
+    src = np.repeat(query_rows.reshape(-1), k)
+    dst = key_rows.reshape(-1)
+    messages = ref_mlp2(h[src] - h[dst], *msg).reshape(b, q, k, h.shape[1])
+    agg = np.zeros_like(h)
+    summed = (messages * weights[..., None]).sum(axis=2)
+    agg[query_rows.reshape(-1)] = summed.reshape(b * q, h.shape[1])
+    return ref_gated_update(h, agg, gru1, gru2, gate)
+
+
 def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, batch, seed):
     """Per-window loop over B windows of N stacked rows of ``h`` (plain arrays).
 

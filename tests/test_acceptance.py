@@ -32,7 +32,7 @@ from hgmts.latent_graph import (
 from hgmts.message_passing import MessagePassingUnit, aggregate
 from hgmts.metrics import mse, persistence_forecast
 from hgmts.model import ModelConfig, build_variant
-from hgmts.nn import GRUCell, ParamRegistry
+from hgmts.nn import GRUCell, Linear, ParamRegistry
 from hgmts.synthetic import generate_coupled, write_csv
 from hgmts.training import TrainConfig, evaluate, train
 
@@ -207,12 +207,15 @@ def test_criterion_1_gradient_suite():
                                       ad.tanh(x))), [x])
 
         def aggregate_case():
-            m = Tensor(rng.uniform(-1, 1, (6, 4)))
+            hidden = Tensor(rng.uniform(-1, 1, (6, 4)).reshape(1, 2, 3, 4))
             w = Tensor(rng.uniform(0.1, 1, (1, 2, 3)))
+            reg = ParamRegistry(seed=35)
+            out_layer = Linear(reg, "o", 4, 4)
+            jitter_params(reg, seed=36)
             return finite_diff_max_err(
-                lambda: ad.sum(ad.mul(aggregate(m, w, [[1, 2]], 4),
-                                      aggregate(m, w, [[1, 2]], 4))),
-                [m, w])
+                lambda: ad.sum(ad.mul(aggregate(hidden, w, out_layer),
+                                      aggregate(hidden, w, out_layer))),
+                [hidden, w, out_layer.w.tensor, out_layer.b.tensor])
 
         for case in (decompose_case, encoder_case, gru_case, dense_graph_case,
                      sparse_graph_case, softmax_pool_case, aggregate_case):

@@ -10,6 +10,7 @@ from helpers import (
     mlp_param_values,
     ref_gated_update,
     ref_gru,
+    ref_message_round,
     ref_mlp2,
     ref_sigmoid,
 )
@@ -22,7 +23,7 @@ from hgmts.latent_graph import (
     build_sparse_adjacency_batch,
 )
 from hgmts.message_passing import MessagePassingUnit, aggregate
-from hgmts.nn import ParamRegistry, gru_round
+from hgmts.nn import Linear, ParamRegistry, gru_round
 
 
 def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
@@ -36,6 +37,32 @@ def full_graph(n):
     return GraphBatch(selected_queries=np.arange(n)[None],
                       selected_keys=np.tile(np.arange(n), (1, n, 1)),
                       weights=Tensor(np.full((1, n, n), 1.0 / n)), num_nodes=n)
+
+
+def edge_messages(unit, h, src, dst):
+    """g(h_src - h_dst) per edge through the round's two message ops: each edge
+    is a query with one key of weight one."""
+    src = np.asarray(src, dtype=int).reshape(1, -1)
+    hidden = unit.compute_messages(h, src, np.asarray(dst, dtype=int).reshape(1, -1, 1))
+    return aggregate(hidden, Tensor(np.ones(src.shape + (1,))), unit.message_net.l2)
+
+
+def identity_layer(d):
+    """An output layer W2 = I, b2 = 0: aggregate then returns the weighted sum itself."""
+    layer = Linear(ParamRegistry(), "out", d, d)
+    layer.w.tensor.values = np.eye(d)
+    return layer
+
+
+def sample_graph(n_nodes, n, batch, seed):
+    """A GraphBatch with random distinct queries, random keys per query and
+    random positive weights whose rows do not sum to one."""
+    rng = np.random.default_rng(seed)
+    queries = np.stack([np.sort(rng.choice(n_nodes, n, replace=False)) for _ in range(batch)])
+    keys = np.array([[rng.choice(n_nodes, n, replace=False) for _ in range(n)]
+                     for _ in range(batch)], dtype=int).reshape(batch, n, n)
+    return GraphBatch(selected_queries=queries, selected_keys=np.sort(keys, axis=2),
+                      weights=Tensor(rng.uniform(0.1, 1.0, (batch, n, n))), num_nodes=n_nodes)
 
 
 class TestEncodeNodes:
@@ -75,46 +102,79 @@ class TestComputeMessages:
             if p.name.endswith(".b"):
                 p.tensor.values = np.random.default_rng(2).uniform(-1, 1, p.values.shape)
         h = Tensor(np.tile(np.random.default_rng(3).uniform(-1, 1, (1, 4)), (3, 1)))
-        msgs = unit.compute_messages(h, [0, 1], [1, 2]).values
+        msgs = edge_messages(unit, h, [0, 1], [1, 2]).values
         expected = ref_mlp2(np.zeros((1, 4)), *mlp_param_values(unit.message_net))
         np.testing.assert_allclose(msgs, np.tile(expected, (2, 1)), atol=1e-12)
 
     def test_messages_not_antisymmetric(self):
         unit, _ = make_unit(seed=4)
         h = Tensor(np.random.default_rng(5).uniform(-1, 1, (3, 4)))
-        msgs = unit.compute_messages(h, [0, 1], [1, 0]).values
+        msgs = edge_messages(unit, h, [0, 1], [1, 0]).values
         assert np.abs(msgs[0] + msgs[1]).max() > 1e-6  # g nonlinear
 
     def test_three_node_chain_matches_direct_evaluation(self):
         unit, _ = make_unit(seed=6)
         h = np.random.default_rng(7).uniform(-1, 1, (3, 4))
         src, dst = [0, 1], [1, 2]
-        out = unit.compute_messages(Tensor(h), src, dst).values
+        out = edge_messages(unit, Tensor(h), src, dst).values
         expected = ref_mlp2(h[src] - h[dst], *mlp_param_values(unit.message_net))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_empty_edges(self):
         unit, _ = make_unit()
         h = Tensor(np.zeros((3, 4)))
-        assert unit.compute_messages(h, [], []).shape == (0, 4)
+        assert edge_messages(unit, h, [], []).shape == (0, 4)
+
+    def test_gradient_check_with_keys_shared_across_queries(self):
+        unit, reg = make_unit(embed=3, hidden=4, seed=50)
+        jitter_params(reg, seed=51)
+        query_rows, key_rows = sample_graph(5, 3, 2, seed=52).rows()
+        assert len(np.unique(key_rows)) < key_rows.size  # the key-side sum has repeats
+        rng = np.random.default_rng(53)
+        h = Tensor(rng.uniform(-1, 1, (10, 3)))
+        probe = Tensor(rng.uniform(-1, 1, (2, 3, 3, 4)))
+        l1 = unit.message_net.l1
+
+        def loss():
+            return ad.sum(ad.mul(unit.compute_messages(h, query_rows, key_rows), probe))
+
+        assert finite_diff_max_err(loss, [h, l1.w.tensor, l1.b.tensor]) < 1e-4
 
 
 class TestAggregate:
     def test_empty_neighborhood_is_zero(self):
-        no_queries = np.zeros((1, 0), int)
-        out = aggregate(Tensor(np.zeros((0, 4))), Tensor(np.zeros((1, 0, 0))), no_queries, 3)
-        np.testing.assert_array_equal(out.values, np.zeros((3, 4)))
+        layer = identity_layer(4)
+        no_queries = aggregate(Tensor(np.zeros((1, 0, 0, 4))), Tensor(np.zeros((1, 0, 0))), layer)
+        assert no_queries.shape == (0, 4)
+        no_keys = aggregate(Tensor(np.zeros((1, 1, 0, 4))), Tensor(np.zeros((1, 1, 0))), layer)
+        np.testing.assert_array_equal(no_keys.values, np.zeros((1, 4)))
 
     def test_single_neighbor_full_weight(self):
         m = np.random.default_rng(8).uniform(-1, 1, (1, 4))
-        out = aggregate(Tensor(m), Tensor(np.ones((1, 1, 1))), [[2]], 3)
-        np.testing.assert_array_equal(out.values[2], m[0])
-        np.testing.assert_array_equal(out.values[[0, 1]], np.zeros((2, 4)))
+        out = aggregate(Tensor(m.reshape(1, 1, 1, 4)), Tensor(np.ones((1, 1, 1))),
+                        identity_layer(4))
+        np.testing.assert_array_equal(out.values[0], m[0])
 
     def test_two_neighbors_weighted_sum(self):
         m = np.random.default_rng(9).uniform(-1, 1, (2, 4))
-        out = aggregate(Tensor(m), Tensor(np.array([[[0.25, 0.75]]])), [[1]], 3)
-        np.testing.assert_allclose(out.values[1], 0.25 * m[0] + 0.75 * m[1], atol=1e-15)
+        out = aggregate(Tensor(m.reshape(1, 1, 2, 4)), Tensor(np.array([[[0.25, 0.75]]])),
+                        identity_layer(4))
+        np.testing.assert_allclose(out.values[0], 0.25 * m[0] + 0.75 * m[1], atol=1e-15)
+
+    def test_gradient_check_with_weights_not_summing_to_one(self):
+        unit, reg = make_unit(embed=3, hidden=4, seed=54)
+        jitter_params(reg, seed=55)  # a nonzero b2, so the (sum_k w_qk) b2 term counts
+        rng = np.random.default_rng(56)
+        hidden = Tensor(rng.uniform(0, 1, (2, 3, 3, 4)))
+        weights = Tensor(rng.uniform(0.1, 1.0, (2, 3, 3)))
+        assert np.abs(weights.values.sum(axis=2) - 1.0).min() > 0.1
+        l2 = unit.message_net.l2
+
+        def loss():
+            out = aggregate(hidden, weights, l2)
+            return ad.sum(ad.mul(out, out))
+
+        assert finite_diff_max_err(loss, [hidden, weights, l2.w.tensor, l2.b.tensor]) < 1e-4
 
 
 class TestGatedUpdate:
@@ -124,7 +184,7 @@ class TestGatedUpdate:
         rng = np.random.default_rng(11)
         h = Tensor(rng.uniform(-1, 1, (3, 4)))
         agg = Tensor(rng.uniform(-1, 1, (3, 4)))
-        out = unit.gated_update(h, agg).values
+        out = unit.gated_update(h, agg, np.arange(h.shape[0])).values
         h1 = unit.gru1(h, agg).values
         np.testing.assert_allclose(out, h1, atol=1e-8)
 
@@ -135,7 +195,7 @@ class TestGatedUpdate:
         rng = np.random.default_rng(13)
         h = Tensor(rng.uniform(-1, 1, (3, 4)))
         agg = Tensor(rng.uniform(-1, 1, (3, 4)))
-        out = unit.gated_update(h, agg).values
+        out = unit.gated_update(h, agg, np.arange(h.shape[0])).values
         np.testing.assert_allclose(out, unit.gru1(h, agg).values, atol=1e-12)
 
     def test_matches_reference_gru_blend(self):
@@ -149,7 +209,7 @@ class TestGatedUpdate:
         gate_hidden = np.maximum(hx @ unit.gate.l1.w.values + unit.gate.l1.b.values, 0.0)
         beta = ref_sigmoid(gate_hidden @ unit.gate.l2.w.values + unit.gate.l2.b.values)
         expected = beta * h1 + (1.0 - beta) * h2
-        out = unit.gated_update(Tensor(h), Tensor(agg)).values
+        out = unit.gated_update(Tensor(h), Tensor(agg), np.arange(3)).values
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_gate_strictly_inside_unit_interval_and_convex(self):
@@ -159,7 +219,7 @@ class TestGatedUpdate:
         agg = Tensor(rng.uniform(-3, 3, (5, 4)))
         beta = unit.gate(ad.concat([h, agg], axis=1)).values
         assert (beta > 0).all() and (beta < 1).all()
-        out = unit.gated_update(h, agg).values
+        out = unit.gated_update(h, agg, np.arange(h.shape[0])).values
         h1 = unit.gru1(h, agg).values
         h2 = unit.gru2(h, agg).values
         lo = np.minimum(h1, h2) - 1e-12
@@ -178,9 +238,9 @@ class TestGatedUpdate:
         expected = ref_gated_update(
             h, agg, *[gru_param_values(c) for c in cells],
             gate=None if gate is None else mlp_param_values(gate))
-        out = gru_round(Tensor(h), Tensor(agg), cells, gate)
+        out = gru_round(Tensor(h), Tensor(agg), np.arange(5), cells, gate)
         np.testing.assert_allclose(out.values, expected, atol=1e-12)
-        via_unit = unit.gated_update(Tensor(h), Tensor(agg))
+        via_unit = unit.gated_update(Tensor(h), Tensor(agg), np.arange(5))
         np.testing.assert_array_equal(via_unit.values, out.values)
 
     @pytest.mark.parametrize("single_gru", [False, True])
@@ -195,10 +255,44 @@ class TestGatedUpdate:
                      if ".gru" in name or ".gate" in name]
 
         def loss():
-            out = unit.gated_update(h, agg)
+            out = unit.gated_update(h, agg, np.arange(4))
             return ad.sum(ad.mul(ad.mul(out, out), probe))
 
         assert finite_diff_max_err(loss, [h, agg] + recurrent) < 1e-4
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_query_row_input_matches_zero_padded_input(self, single_gru):
+        unit, reg = make_unit(seed=57, single_gru=single_gru)
+        jitter_params(reg, seed=58)
+        rng = np.random.default_rng(59)
+        h = rng.uniform(-1, 1, (6, 4))
+        rows = np.array([4, 1, 2])
+        x = rng.uniform(-1, 1, (3, 4))
+        padded = np.zeros((6, 4))
+        padded[rows] = x
+        cells = (unit.gru1,) if single_gru else (unit.gru1, unit.gru2)
+        expected = ref_gated_update(
+            h, padded, *[gru_param_values(c) for c in cells],
+            gate=None if single_gru else mlp_param_values(unit.gate))
+        out = unit.gated_update(Tensor(h), Tensor(x), rows)
+        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_query_row_round_gradient_check(self, single_gru):
+        unit, reg = make_unit(input_len=5, embed=3, hidden=3, seed=60, single_gru=single_gru)
+        jitter_params(reg, seed=61)
+        rng = np.random.default_rng(62)
+        h = Tensor(rng.uniform(-1, 1, (5, 3)))
+        x = Tensor(rng.uniform(-1, 1, (2, 3)))
+        probe = Tensor(rng.uniform(-1, 1, (5, 3)))
+        recurrent = [p.tensor for name, p in reg.params.items()
+                     if ".gru" in name or ".gate" in name]
+
+        def loss():
+            out = unit.gated_update(h, x, [3, 0])
+            return ad.sum(ad.mul(ad.mul(out, out), probe))
+
+        assert finite_diff_max_err(loss, [h, x] + recurrent) < 1e-4
 
     def test_single_gru_unit_returns_first_update(self):
         unit, _ = make_unit(seed=18, single_gru=True)
@@ -206,7 +300,7 @@ class TestGatedUpdate:
         rng = np.random.default_rng(19)
         h = Tensor(rng.uniform(-1, 1, (3, 4)))
         agg = Tensor(rng.uniform(-1, 1, (3, 4)))
-        np.testing.assert_array_equal(unit.gated_update(h, agg).values,
+        np.testing.assert_array_equal(unit.gated_update(h, agg, np.arange(h.shape[0])).values,
                                       unit.gru1(h, agg).values)
 
 
@@ -252,9 +346,31 @@ class TestRunMessagePassing:
 
         h0 = unit.encode_nodes(x)
         query_rows, key_rows = edges.rows()
-        msgs = unit.compute_messages(h0, np.repeat(query_rows, 3), key_rows.reshape(-1))
-        agg = aggregate(msgs, edges.weights, query_rows, 3)
-        expected = unit.gated_update(h0, agg).values
+        hidden = unit.compute_messages(h0, query_rows, key_rows)
+        agg = aggregate(hidden, edges.weights, unit.message_net.l2)
+        expected = unit.gated_update(h0, agg, query_rows.reshape(-1)).values
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    @pytest.mark.parametrize("n", [5, 3, 0])
+    def test_rounds_match_per_edge_oracle(self, n, single_gru):
+        """n = N, n < N (several queries of a window share keys) and no queries."""
+        unit, reg = make_unit(seed=63, single_gru=single_gru)
+        jitter_params(reg, seed=64)
+        graph = sample_graph(5, n, 3, seed=65)
+        query_rows, key_rows = graph.rows()
+        if n > 1:
+            assert len(np.unique(key_rows[0])) < key_rows[0].size
+        x = Tensor(np.random.default_rng(66).uniform(-1, 1, (15, 6)))
+        params = dict(msg=mlp_param_values(unit.message_net),
+                      gru1=gru_param_values(unit.gru1),
+                      gru2=None if single_gru else gru_param_values(unit.gru2),
+                      gate=None if single_gru else mlp_param_values(unit.gate))
+        expected = unit.encode_nodes(x).values
+        for _ in range(2):
+            expected = ref_message_round(expected, query_rows, key_rows, graph.weights.values,
+                                         **params)
+        out = unit.run(x, lambda h: graph, 2).values
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_node_permutation_equivariance(self):

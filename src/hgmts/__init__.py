@@ -2,12 +2,7 @@
 
 from .autodiff import Tensor, backward
 from .decomposition import DecomposedSeries, decompose
-from .latent_graph import (
-    LgslConfig,
-    SparseAdjacency,
-    build_sparse_adjacency,
-    dense_adjacency,
-)
+from .latent_graph import SparseAdjacency
 from .model import Model, ModelConfig, build_variant, load_model
 from .training import TrainConfig, evaluate, train
 
@@ -18,10 +13,7 @@ __all__ = [
     "backward",
     "DecomposedSeries",
     "decompose",
-    "LgslConfig",
     "SparseAdjacency",
-    "build_sparse_adjacency",
-    "dense_adjacency",
     "Model",
     "ModelConfig",
     "build_variant",

@@ -63,9 +63,6 @@ class Tensor:
             raise ContractError(f"item() requires a single element, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     # operator sugar; scalars are folded in without creating constant nodes
     def __add__(self, other):
         return add(self, other)
@@ -88,16 +85,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        out = self.values[key]
-
-        def grad_fn(g):
-            gx = np.zeros_like(self.values)
-            gx[key] += g  # basic indexing only; integer-array gathers use take_rows
-            return (gx,)
-
-        return Tensor(out, (self,), grad_fn)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -300,17 +287,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.values)
-    return Tensor(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.values <= 0).any():
-        raise NumericError("log requires strictly positive inputs")
-    return Tensor(np.log(a.values), (a,), lambda g: (g / a.values,))
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -362,20 +338,8 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# structure: concat / gather / scatter
+# structure: gather
 # ---------------------------------------------------------------------------
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.values for t in tensors], axis=axis)
-    sizes = [t.values.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return Tensor(out, tuple(tensors), grad_fn)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -416,38 +380,6 @@ def gather_last(a: Tensor, indices) -> Tensor:
         return (gx,)
 
     return Tensor(out, (a,), grad_fn)
-
-
-def put_rows(a: Tensor, rows, num_rows: int) -> Tensor:
-    """Write a[i] into row rows[i] of a zero tensor with ``num_rows`` rows.
-
-    ``rows`` may have any shape matching a's leading axes; its entries must be
-    distinct.  Rows never written stay zero.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    out = np.zeros((num_rows,) + a.values.shape[rows.ndim :], dtype=np.float64)
-    out[rows] = a.values
-
-    def grad_fn(g):
-        return (g[rows],)
-
-    return Tensor(out, (a,), grad_fn)
-
-
-def scatter_2d(w: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
-    """Place w[i, j] at out[rows[i], cols[i, j]] in a zero matrix of ``shape``.
-
-    Target positions must be distinct: rows unique, cols unique within a row.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = np.zeros(shape, dtype=np.float64)
-    out[rows[:, None], cols] = w.values
-
-    def grad_fn(g):
-        return (g[rows[:, None], cols],)
-
-    return Tensor(out, (w,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,20 @@ import numpy as np
 
 from .autodiff import ContractError, NumericError, ShapeMismatch
 from .config import RunSpec, load_run_spec
-from .data import SplitSpec, load_csv, manifest, normalize, split, window_list
-from .experiments import (
-    EvalReport,
-    ablation_run,
-    prepare_windows,
-    run_one,
-    sparsity_sweep,
-)
+from .data import SplitSpec, load_csv, manifest
+from .experiments import EvalReport, grid_run, prepare_windows, run_one
 from .latent_graph import c_for_gamma, dump_edges, sample_count
 from .model import VARIANT_IDS, load_model
 from .synthetic import generate_coupled, write_csv
 from .training import TrainingDiverged, evaluate
 
 OUT_DIR_ENV = "HGMTS_OUT_DIR"
+
+# subcommand -> (ModelConfig field, list flag and config key, parser, default list, report stem)
+GRIDS = {
+    "sweep-gamma": ("gamma", "gammas", float, [0.2, 0.3, 0.4, 0.5, 0.6, 0.7], "sweep_gamma"),
+    "ablate": ("variant", "variants", str, list(VARIANT_IDS), "ablation"),
+}
 
 
 def _out_dir(args, spec: RunSpec | None = None) -> Path:
@@ -95,12 +95,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_windows(args):
+    """The checkpoint's model, the run spec and the prepared windows, from the
+    dataset and split recorded in the checkpoint unless a config or --data
+    overrides them."""
     model, run_info = load_model(args.checkpoint)
-    spec = load_run_spec(args.config, _overrides(args)) if args.config else RunSpec()
+    config = getattr(args, "config", None)
+    spec = load_run_spec(config, _overrides(args)) if config else RunSpec()
     if not spec.dataset and run_info.get("dataset"):
         spec.dataset = run_info["dataset"]
-    if run_info.get("split") and args.config is None:
+    if run_info.get("split") and config is None:
         spec.split = SplitSpec(*run_info["split"])
     ds = _load_dataset(spec, args.data)
     if ds.n_series != model.cfg.n_nodes:
@@ -108,10 +112,15 @@ def cmd_eval(args) -> int:
             f"dataset has {ds.n_series} series but checkpoint expects {model.cfg.n_nodes}"
         )
     prepared = prepare_windows(ds, spec.split, model.cfg.input_len, model.cfg.horizon)
-    windows = {"train": prepared.train, "val": prepared.val, "test": prepared.test}[args.split]
+    return model, spec, prepared
+
+
+def cmd_eval(args) -> int:
+    model, spec, prepared = _checkpoint_windows(args)
+    windows = getattr(prepared, args.split)
     m, a = evaluate(model, windows, prepared.stats, raw_space=args.raw_space)
     row = {
-        "dataset": ds.name,
+        "dataset": prepared.name,
         "variant": model.cfg.variant,
         "gamma": model.cfg.gamma,
         "horizon": model.cfg.horizon,
@@ -142,43 +151,29 @@ def _dump_predictions(model, windows, path) -> None:
                     fh.write(f"{wi},{node},{step},{y[node, step]!r},{pred[node, step]!r}\n")
 
 
-def cmd_sweep_gamma(args) -> int:
+def cmd_grid(args) -> int:
+    """sweep-gamma and ablate: one training per (horizon, grid value, seed)."""
+    field, key, kind, default, stem = GRIDS[args.command]
     spec = load_run_spec(args.config, _overrides(args))
     ds = _load_dataset(spec, args.data)
-    gammas = [float(g) for g in args.gammas.split(",")] if args.gammas else \
-        (spec.gammas or [0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    listed = getattr(args, key)
+    values = [kind(v) for v in listed.split(",")] if listed else (getattr(spec, key) or default)
     horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else \
         (spec.horizons or [spec.model_fields["horizon"]])
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else (spec.seeds or None)
     model_cfg = spec.model_config(ds.n_series)
     train_cfg = spec.train_config(max_epochs=args.max_epochs)
-    report = sparsity_sweep(ds, spec.split, gammas, horizons, model_cfg, train_cfg, seeds)
+    report = grid_run(ds, spec.split, field, values, horizons, model_cfg, train_cfg, seeds)
     out = _out_dir(args, spec)
-    report.write(out / "sweep_gamma.csv")
-    report.averaged().write(out / "sweep_gamma_avg.csv")
-    print(report.table())
-    for gamma in gammas:
-        print(f"gamma={gamma}: n={sample_count(c_for_gamma(gamma, ds.n_series), ds.n_series)}")
-    print(f"report: {out / 'sweep_gamma.csv'}")
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    spec = load_run_spec(args.config, _overrides(args))
-    ds = _load_dataset(spec, args.data)
-    variants = [v for v in args.variants.split(",")] if args.variants else \
-        (spec.variants or ["hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6"])
-    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else \
-        (spec.horizons or [spec.model_fields["horizon"]])
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else (spec.seeds or None)
-    model_cfg = spec.model_config(ds.n_series)
-    train_cfg = spec.train_config(max_epochs=args.max_epochs)
-    report = ablation_run(ds, spec.split, variants, horizons, model_cfg, train_cfg, seeds)
-    out = _out_dir(args, spec)
-    report.write(out / "ablation.csv")
-    report.averaged().write(out / "ablation_avg.csv")
-    print(report.averaged().table())
-    print(f"report: {out / 'ablation.csv'}")
+    report.write(out / f"{stem}.csv")
+    report.averaged().write(out / f"{stem}_avg.csv")
+    if field == "gamma":
+        print(report.table())
+        for gamma in values:
+            print(f"gamma={gamma}: n={sample_count(c_for_gamma(gamma, ds.n_series), ds.n_series)}")
+    else:
+        print(report.averaged().table())
+    print(f"report: {out / f'{stem}.csv'}")
     return 0
 
 
@@ -201,19 +196,8 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
-    model, run_info = load_model(args.checkpoint)
-    spec = RunSpec()
-    if run_info.get("dataset"):
-        spec.dataset = run_info["dataset"]
-    if run_info.get("split"):
-        spec.split = SplitSpec(*run_info["split"])
-    ds = _load_dataset(spec, args.data)
-    train_ds, val_ds, test_ds = split(ds, spec.split)
-    from .data import NormalizationStats
-
-    stats = NormalizationStats.from_train(train_ds.values)
-    segment = {"train": train_ds, "val": val_ds, "test": test_ds}[args.split]
-    pairs = window_list(normalize(segment, stats), model.cfg.input_len, model.cfg.horizon)
+    model, spec, prepared = _checkpoint_windows(args)
+    pairs = getattr(prepared, args.split)
     if not pairs:
         raise ContractError(f"split {args.split!r} has no windows at this (L, K)")
     if not 0 <= args.window < len(pairs):
@@ -263,21 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, config_required=False)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-gamma", help="train/evaluate across graph sparsity levels")
-    common(p)
-    p.add_argument("--gammas", help="comma list, e.g. 0.2,0.3,0.4,0.5,0.6,0.7")
-    p.add_argument("--horizons", help="comma list of horizons")
-    p.add_argument("--seeds", help="comma list of seeds")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.set_defaults(func=cmd_sweep_gamma)
-
-    p = sub.add_parser("ablate", help="train/evaluate wiring variants")
-    common(p)
-    p.add_argument("--variants", help="comma list, e.g. hgmts1,hgmts4")
-    p.add_argument("--horizons", help="comma list of horizons")
-    p.add_argument("--seeds", help="comma list of seeds")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.set_defaults(func=cmd_ablate)
+    for name, help_text, example in (
+            ("sweep-gamma", "train/evaluate across graph sparsity levels", "0.2,0.3,0.4,0.5,0.6,0.7"),
+            ("ablate", "train/evaluate wiring variants", "hgmts1,hgmts4")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument(f"--{GRIDS[name][1]}", help=f"comma list, e.g. {example}")
+        p.add_argument("--horizons", help="comma list of horizons")
+        p.add_argument("--seeds", help="comma list of seeds")
+        p.add_argument("--max-epochs", dest="max_epochs", type=int)
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("synth-gen", help="generate the coupled synthetic dataset")
     p.add_argument("--config")

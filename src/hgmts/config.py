@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .autodiff import ContractError
 from .data import SplitSpec
-from .model import VARIANT_IDS, ModelConfig
+from .model import ModelConfig
 from .training import TrainConfig
 
 _MODEL_KEYS = {
@@ -28,7 +28,6 @@ _MODEL_KEYS = {
     "blocks": ("blocks_per_stack", int),
     "variant": ("variant", str),
     "seed": ("seed", int),
-    "recompute_graph_per_round": ("recompute_graph_each_round", bool),
 }
 
 _TRAIN_KEYS = {
@@ -114,8 +113,6 @@ class RunSpec:
     def model_config(self, n_nodes: int, **overrides) -> ModelConfig:
         merged = dict(self.model_fields)
         merged.update({k: v for k, v in overrides.items() if v is not None})
-        if merged.get("variant") is not None and merged["variant"] not in VARIANT_IDS:
-            raise ContractError(f"unknown variant {merged['variant']!r}")
         return ModelConfig(n_nodes=n_nodes, **merged)
 
     def train_config(self, **overrides) -> TrainConfig:

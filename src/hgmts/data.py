@@ -163,9 +163,6 @@ class NormalizationStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 def normalize(ds: Dataset, stats: NormalizationStats) -> Dataset:
     return Dataset(

@@ -1,14 +1,13 @@
-"""Sparsity sweeps, ablation runs, and the shared report container."""
+"""Experiment grids (sparsity sweeps, ablations) and the shared report container."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, NormalizationStats, SplitSpec, normalize, split, window_list
-from .model import VARIANT_IDS, ModelConfig, build_variant
+from .model import ModelConfig, build_variant
 from .training import TrainConfig, evaluate, train
 
 REPORT_FIELDS = ("dataset", "variant", "gamma", "horizon", "seed", "mse", "mae", "epochs", "wall_s")
@@ -119,44 +118,20 @@ def run_one(ds: Dataset, spec: SplitSpec, model_cfg: ModelConfig, train_cfg: Tra
     return row, model, result, prepared
 
 
-def sparsity_sweep(ds: Dataset, spec: SplitSpec, gammas: list[float], horizons: list[int],
-                   model_cfg: ModelConfig, train_cfg: TrainConfig,
-                   seeds: list[int] | None = None) -> EvalReport:
-    """Train and evaluate per (gamma, horizon, seed); one report row each."""
+def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: list[int],
+             model_cfg: ModelConfig, train_cfg: TrainConfig,
+             seeds: list[int] | None = None) -> EvalReport:
+    """Train and evaluate per (horizon, value of the ModelConfig ``field``, seed);
+    one report row each.  Every config of the grid is built before the first
+    one trains, so a bad value fails before any training."""
     seeds = seeds or [model_cfg.seed]
+    grid = [(horizon, [replace(model_cfg, **{field: value}, horizon=horizon, seed=seed)
+                       for value in values for seed in seeds])
+            for horizon in horizons]
     rows = []
-    for horizon in horizons:
+    for horizon, cfgs in grid:
         prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)
-        for gamma in gammas:
-            for seed in seeds:
-                cfg = replace(model_cfg, gamma=gamma, horizon=horizon, seed=seed)
-                t_cfg = replace(train_cfg, seed=seed)
-                row, _, _, _ = run_one(ds, spec, cfg, t_cfg, prepared)
-                rows.append(row)
+        for cfg in cfgs:
+            row, _, _, _ = run_one(ds, spec, cfg, replace(train_cfg, seed=cfg.seed), prepared)
+            rows.append(row)
     return EvalReport(rows)
-
-
-def ablation_run(ds: Dataset, spec: SplitSpec, variants: list[str], horizons: list[int],
-                 model_cfg: ModelConfig, train_cfg: TrainConfig,
-                 seeds: list[int] | None = None) -> EvalReport:
-    """Train and evaluate each wiring variant under a shared schedule."""
-    for v in variants:
-        if v not in VARIANT_IDS:
-            raise ValueError(f"unknown variant {v!r}; expected one of {VARIANT_IDS}")
-    seeds = seeds or [model_cfg.seed]
-    rows = []
-    for horizon in horizons:
-        prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)
-        for variant in variants:
-            for seed in seeds:
-                cfg = replace(model_cfg, variant=variant, horizon=horizon, seed=seed)
-                t_cfg = replace(train_cfg, seed=seed)
-                row, _, _, _ = run_one(ds, spec, cfg, t_cfg, prepared)
-                rows.append(row)
-    return EvalReport(rows)
-
-
-def timed(fn, *args, **kw):
-    t0 = time.perf_counter()
-    out = fn(*args, **kw)
-    return out, time.perf_counter() - t0

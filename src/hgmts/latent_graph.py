@@ -22,14 +22,6 @@ from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 
 
-@dataclass
-class LgslConfig:
-    """Sampling factor c sets n = floor(c * ln N), clamped to [1, N]."""
-
-    sampling_c: float
-    seed: int = 0
-
-
 def sample_count(c: float, n_nodes: int) -> int:
     """n = floor(c * ln N), clamped to [1, N]. Natural log throughout."""
     if n_nodes < 1:
@@ -48,18 +40,13 @@ def c_for_gamma(gamma: float, n_nodes: int) -> float:
 
 @dataclass
 class SparseAdjacency:
-    """One window's graph: row-stochastic on the selected query rows, exact zeros elsewhere.
-
-    ``matrix`` (N x N) is materialized only by :func:`build_sparse_adjacency`;
-    the per-window views of a :class:`GraphBatch` leave it None.
-    """
+    """One window's graph: row-stochastic on the selected query rows, exact zeros elsewhere."""
 
     selected_queries: np.ndarray  # (n,) ascending
     selected_keys: np.ndarray  # (n, n); row i holds keys of selected_queries[i], ascending
     weights: Tensor  # (n, n) row-softmax aligned with selected_keys
     dot_product_count: int
     num_nodes: int
-    matrix: Tensor | None = None
 
 
 @dataclass
@@ -124,67 +111,13 @@ def query_importance(q, k_sampled) -> Tensor:
 
 
 def select_queries(scores, n: int) -> np.ndarray:
-    """Indices of the n largest scores along the last axis, ties toward the lowest index."""
+    """Indices of the n largest scores along the last axis, in ascending order;
+    ties go to the lowest index.  Picks the kept queries and each one's keys."""
     s = scores.values if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
     if n > s.shape[-1]:
         raise ContractError(f"cannot select {n} queries from {s.shape[-1]}")
-    return _top_per_row(s, n)
-
-
-def _top_per_row(values: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n largest entries along the last axis, in ascending order;
-    ties go to the lowest index."""
-    order = np.argsort(-values, axis=-1, kind="stable")
+    order = np.argsort(-s, axis=-1, kind="stable")
     return np.sort(order[..., :n], axis=-1)
-
-
-def select_keys(q_selected, k) -> np.ndarray:
-    """For each selected query row, the indices of its strongest keys.
-
-    Returns an (n_q, n_q) index array aligned with the input row order; the
-    key budget per query equals the number of selected queries.
-    """
-    qv = q_selected.values if isinstance(q_selected, Tensor) else np.asarray(q_selected)
-    kv = k.values if isinstance(k, Tensor) else np.asarray(k)
-    n = qv.shape[0]
-    if n < 1:
-        raise ContractError("select_keys requires at least one query")
-    logits = qv @ kv.T / math.sqrt(qv.shape[1])
-    return _top_per_row(logits, n)
-
-
-def dense_adjacency(h: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
-    """Full quadratic attention adjacency; rows sum to one. Reference path."""
-    q, k = project_qk(h, wq, wk)
-    scale = 1.0 / math.sqrt(h.shape[1])
-    return ad.softmax_rows(ad.mul(ad.matmul(q, ad.transpose(k)), scale))
-
-
-def build_sparse_adjacency(
-    h: Tensor,
-    wq: Tensor,
-    wk: Tensor,
-    cfg: LgslConfig,
-    *,
-    n_override: int | None = None,
-    seed: int | None = None,
-) -> SparseAdjacency:
-    """One window's graph as a batch of one, with the N x N matrix materialized."""
-    n_nodes = h.shape[0]
-    n = n_override if n_override is not None else sample_count(cfg.sampling_c, n_nodes)
-    graphs = build_sparse_adjacency_batch(
-        h, wq, wk, n_nodes, n, 1, cfg.seed if seed is None else seed
-    )
-    sel_q, sel_keys = graphs.selected_queries[0], graphs.selected_keys[0]
-    weights = ad.reshape(graphs.weights, (n, n))
-    return SparseAdjacency(
-        selected_queries=sel_q,
-        selected_keys=sel_keys,
-        weights=weights,
-        dot_product_count=2 * n_nodes * n,
-        num_nodes=n_nodes,
-        matrix=ad.scatter_2d(weights, sel_q, sel_keys, (n_nodes, n_nodes)),
-    )
 
 
 def build_sparse_adjacency_batch(
@@ -219,7 +152,7 @@ def build_sparse_adjacency_batch(
     q_sel = ad.reshape(ad.take_rows(q, (sel_q + offsets).reshape(-1)), (batch, n, dim))
     k_t = ad.transpose(ad.reshape(k, (batch, n_nodes, dim)))
     logits = ad.mul(ad.matmul(q_sel, k_t), 1.0 / math.sqrt(dim))  # (B, n, N)
-    sel_keys = _top_per_row(logits.values, n)
+    sel_keys = select_queries(logits.values, n)
     weights = ad.softmax_rows(ad.gather_last(logits, sel_keys))
     return GraphBatch(
         selected_queries=sel_q, selected_keys=sel_keys, weights=weights, num_nodes=n_nodes

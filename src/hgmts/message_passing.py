@@ -127,21 +127,14 @@ class MessagePassingUnit:
             return gru_round(h, agg, rows, (self.gru1,))
         return gru_round(h, agg, rows, (self.gru1, self.gru2), self.gate)
 
-    def run(self, x: Tensor, graph_fn, rounds: int, *, recompute_each_round: bool = False):
-        """Encode, then ``rounds`` iterations of messages/aggregate/update.
-
-        ``graph_fn(h)`` returns the GraphBatch to use; by default it is called
-        once on the initial embeddings and the graphs stay fixed.  rounds=0
-        returns the raw encoding (testing hook).
-        """
+    def run(self, h: Tensor, graph: GraphBatch, rounds: int) -> Tensor:
+        """``rounds`` iterations of messages/aggregate/update from the encoded
+        states ``h``.  ``graph`` stays fixed for every round; the model picks it
+        by graph key, so several pathways may run on one.  rounds=0 returns ``h``."""
         if rounds < 0:
             raise ContractError(f"rounds must be >= 0, got {rounds}")
-        h = self.encode_nodes(x)
-        graph: GraphBatch | None = None
+        query_rows, key_rows = graph.rows()
         for _ in range(rounds):
-            if graph is None or recompute_each_round:
-                graph = graph_fn(h)
-                query_rows, key_rows = graph.rows()
             hidden = self.compute_messages(h, query_rows, key_rows)
             agg = aggregate(hidden, graph.weights, self.message_net.l2)
             h = self.gated_update(h, agg, query_rows.reshape(-1))

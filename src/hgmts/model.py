@@ -9,7 +9,9 @@ into the global prediction.
 Six wiring variants are supported (ids "hgmts1".."hgmts6"): the full model,
 graphs shared between pathways, graphs shared across all blocks and stacks,
 no graph at all (encoder straight into the heads), no decomposition (one raw
-pathway), and a single ungated GRU.
+pathway), and a single ungated GRU.  One graph key decides which pathways
+share a graph: pathways with equal keys use the graph the first of them built
+(and only that one owns the query/key projections); a None key means no graph.
 """
 
 from __future__ import annotations
@@ -36,18 +38,23 @@ VARIANT_IDS = ("hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6")
 
 @dataclass(frozen=True)
 class VariantWiring:
-    share_graph_across_pathways: bool = False
-    share_graph_across_blocks: bool = False
-    disable_graph: bool = False
+    graph_scope: str | None = "pathway"  # one graph per "pathway", per "block", per pathway "name"
     single_pathway: bool = False
     single_gru: bool = False
+
+    def graph_key(self, stack: int, block: int, pathway: str) -> tuple | None:
+        """Pathways with equal keys share one graph; None means no graph."""
+        if self.graph_scope is None:
+            return None
+        return {"pathway": (stack, block, pathway), "block": (stack, block),
+                "name": (pathway,)}[self.graph_scope]
 
 
 WIRINGS: dict[str, VariantWiring] = {
     "hgmts1": VariantWiring(),
-    "hgmts2": VariantWiring(share_graph_across_pathways=True),
-    "hgmts3": VariantWiring(share_graph_across_blocks=True),
-    "hgmts4": VariantWiring(disable_graph=True),
+    "hgmts2": VariantWiring(graph_scope="block"),
+    "hgmts3": VariantWiring(graph_scope="name"),
+    "hgmts4": VariantWiring(graph_scope=None),
     "hgmts5": VariantWiring(single_pathway=True),
     "hgmts6": VariantWiring(single_gru=True),
 }
@@ -71,13 +78,15 @@ class ModelConfig:
     blocks_per_stack: int = 1
     variant: str = "hgmts1"
     seed: int = 0
-    recompute_graph_each_round: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANT_IDS:
             raise ContractError(f"unknown variant {self.variant!r}; expected one of {VARIANT_IDS}")
         if self.kernel % 2 == 0:
             raise ContractError(f"kernel must be odd, got {self.kernel}")
+        if self.stacks < 1 or self.blocks_per_stack < 1:
+            raise ContractError(f"need at least one stack of at least one block, got "
+                                f"stacks={self.stacks}, blocks_per_stack={self.blocks_per_stack}")
 
     @property
     def hidden(self) -> int:
@@ -98,6 +107,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if d.get("recompute_graph_each_round"):
+            raise ContractError("recompute_graph_each_round=true is no longer supported: "
+                                "graphs are built once per forward pass")
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in known})
 
@@ -120,13 +132,12 @@ class BlockRecord:
 
 @dataclass
 class ForwardContext:
-    """Per-pass state: graph caches for sharing variants, seeds, and records."""
+    """Per-pass state: the graphs built so far, seeds, and records."""
 
     seed: int
     pass_index: int = 0
     collect: bool = False
-    shared_edges: dict = field(default_factory=dict)  # variant 3: pathway -> GraphBatch
-    block_edges: dict = field(default_factory=dict)  # variant 2: block key -> GraphBatch
+    graphs: dict = field(default_factory=dict)  # graph key -> GraphBatch
     graph_records: list = field(default_factory=list)  # (stack, block, pathway, window, adj)
     block_records: list = field(default_factory=list)
     graph_builds: int = 0
@@ -134,11 +145,11 @@ class ForwardContext:
 
 class Pathway:
     def __init__(self, reg: ParamRegistry, prefix: str, cfg: ModelConfig, *,
-                 messages: bool, single_gru: bool, owns_graph: bool):
+                 graph_key: tuple | None, owns_graph: bool, single_gru: bool):
         d, hid = cfg.embed_dim, cfg.hidden
-        self.unit = MessagePassingUnit(
-            reg, prefix, cfg.input_len, d, hid, single_gru=single_gru, messages=messages
-        )
+        self.graph_key = graph_key
+        self.unit = MessagePassingUnit(reg, prefix, cfg.input_len, d, hid, single_gru=single_gru,
+                                       messages=graph_key is not None)
         self.wq: Parameter | None = reg.weight(f"{prefix}.wq", d, d) if owns_graph else None
         self.wk: Parameter | None = reg.weight(f"{prefix}.wk", d, d) if owns_graph else None
         self.backcast_head = MLP2(reg, f"{prefix}.backcast", d, hid, cfg.input_len)
@@ -147,7 +158,7 @@ class Pathway:
 
 class Block:
     def __init__(self, reg: ParamRegistry, cfg: ModelConfig, wiring: VariantWiring,
-                 stack_index: int, block_index: int, first_block: bool):
+                 stack_index: int, block_index: int, claimed_keys: set):
         self.cfg = cfg
         self.wiring = wiring
         self.stack_index = stack_index
@@ -156,26 +167,13 @@ class Block:
         names = ("main",) if wiring.single_pathway else ("seas", "trend")
         self.pathways: dict[str, Pathway] = {}
         for name in names:
-            owns = self._owns_graph(name, first_block)
+            key = wiring.graph_key(stack_index, block_index, name)
             self.pathways[name] = Pathway(
-                reg,
-                f"{prefix}.{name}",
-                cfg,
-                messages=not wiring.disable_graph,
-                single_gru=wiring.single_gru,
-                owns_graph=owns,
-            )
+                reg, f"{prefix}.{name}", cfg, graph_key=key, single_gru=wiring.single_gru,
+                owns_graph=key is not None and key not in claimed_keys)
+            claimed_keys.add(key)
 
-    def _owns_graph(self, name: str, first_block: bool) -> bool:
-        if self.wiring.disable_graph:
-            return False
-        if self.wiring.share_graph_across_blocks and not first_block:
-            return False
-        if self.wiring.share_graph_across_pathways and name == "trend":
-            return False
-        return True
-
-    def _build_edges(self, pathway_name: str, h: Tensor, batch: int,
+    def _build_graph(self, pathway_name: str, h: Tensor, batch: int,
                      ctx: ForwardContext) -> GraphBatch:
         """The batch's sparse graphs over the stacked embedding rows."""
         cfg = self.cfg
@@ -202,33 +200,9 @@ class Block:
             )
         return graphs
 
-    def _graph_fn(self, pathway_name: str, batch: int, ctx: ForwardContext):
-        wiring = self.wiring
-
-        def fn(h: Tensor) -> GraphBatch:
-            if wiring.share_graph_across_blocks:
-                cached = ctx.shared_edges.get(pathway_name)
-                if cached is not None:
-                    return cached
-                edges = self._build_edges(pathway_name, h, batch, ctx)
-                ctx.shared_edges[pathway_name] = edges
-                return edges
-            if wiring.share_graph_across_pathways:
-                key = (self.stack_index, self.block_index)
-                if pathway_name == "trend":
-                    return ctx.block_edges[key]  # seas pathway ran first
-                edges = self._build_edges(pathway_name, h, batch, ctx)
-                ctx.block_edges[key] = edges
-                return edges
-            return self._build_edges(pathway_name, h, batch, ctx)
-
-        return fn
-
-    def forward(self, x: Tensor, batch: int = 1, ctx: ForwardContext | None = None) -> BlockOutput:
+    def forward(self, x: Tensor, batch: int, ctx: ForwardContext) -> BlockOutput:
         """Decompose, run each pathway, and sum the head outputs."""
         cfg = self.cfg
-        if ctx is None:
-            ctx = ForwardContext(seed=cfg.seed)
         if self.wiring.single_pathway:
             components = {"main": x}
         else:
@@ -239,17 +213,14 @@ class Block:
         pieces: dict[str, tuple[Tensor, Tensor]] = {}
         for name, comp in components.items():
             pw = self.pathways[name]
-            if self.wiring.disable_graph:
-                h_final = pw.unit.encode_nodes(comp)
-            else:
-                h_final = pw.unit.run(
-                    comp,
-                    self._graph_fn(name, batch, ctx),
-                    cfg.rounds,
-                    recompute_each_round=cfg.recompute_graph_each_round,
-                )
-            bc = pw.backcast_head(h_final)
-            fc = pw.forecast_head(h_final)
+            h = pw.unit.encode_nodes(comp)
+            key = pw.graph_key
+            if key is not None:
+                if key not in ctx.graphs:  # the key's owner runs first
+                    ctx.graphs[key] = self._build_graph(name, h, batch, ctx)
+                h = pw.unit.run(h, ctx.graphs[key], cfg.rounds)
+            bc = pw.backcast_head(h)
+            fc = pw.forecast_head(h)
             pieces[name] = (bc, fc)
             backcast = bc if backcast is None else ad.add(backcast, bc)
             forecast = fc if forecast is None else ad.add(forecast, fc)
@@ -266,14 +237,12 @@ class Model:
         self.cfg = cfg
         self.wiring = WIRINGS[cfg.variant]
         self.registry = ParamRegistry(cfg.seed)
-        self.stacks: list[list[Block]] = []
-        first = True
-        for si in range(cfg.stacks):
-            blocks = []
-            for bi in range(cfg.blocks_per_stack):
-                blocks.append(Block(self.registry, cfg, self.wiring, si, bi, first))
-                first = False
-            self.stacks.append(blocks)
+        claimed: set = set()
+        self.stacks: list[list[Block]] = [
+            [Block(self.registry, cfg, self.wiring, si, bi, claimed)
+             for bi in range(cfg.blocks_per_stack)]
+            for si in range(cfg.stacks)
+        ]
         self._pass_counter = 0
 
     # -- forward ------------------------------------------------------------
@@ -318,23 +287,10 @@ class Model:
     def parameters(self) -> list[Parameter]:
         return self.registry.all()
 
-    def parameter_count(self) -> int:
-        return int(np.sum([p.values.size for p in self.parameters()]))
-
     def graph_builds_per_window(self) -> int:
         """How many adjacencies one forward pass infers per window."""
-        total_blocks = self.cfg.stacks * self.cfg.blocks_per_stack
-        n_pathways = 1 if self.wiring.single_pathway else 2
-        if self.wiring.disable_graph:
-            return 0
-        if self.wiring.share_graph_across_blocks:
-            return n_pathways
-        if self.wiring.share_graph_across_pathways:
-            return total_blocks
-        return n_pathways * total_blocks
-
-    def all_blocks(self) -> list[Block]:
-        return [b for stack in self.stacks for b in stack]
+        keys = {pw.graph_key for stack in self.stacks for b in stack for pw in b.pathways.values()}
+        return len(keys - {None})
 
     # -- persistence ----------------------------------------------------------
 
@@ -355,30 +311,3 @@ def load_model(path) -> tuple[Model, dict]:
     model.registry.load_values(values)
     return model, config.get("run", {})
 
-
-# -- module-level forms of the three assembly operations ----------------------
-
-
-def block_forward(block: Block, x, ctx: ForwardContext | None = None) -> BlockOutput:
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    return block.forward(x, 1, ctx)
-
-
-def stack_forward(blocks: list[Block], x, ctx: ForwardContext | None = None):
-    """Chain blocks on backcast residuals; returns (residual, summed forecast)."""
-    if not blocks:
-        raise ContractError("stack_forward requires at least one block")
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if ctx is None:
-        ctx = ForwardContext(seed=blocks[0].cfg.seed)
-    residual = x
-    forecast = None
-    for block in blocks:
-        out = block.forward(residual, 1, ctx)
-        residual = ad.sub(residual, out.backcast)
-        forecast = out.forecast if forecast is None else ad.add(forecast, out.forecast)
-    return residual, forecast
-
-
-def model_forward(model: Model, x) -> Tensor:
-    return model.forward(x)

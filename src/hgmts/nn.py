@@ -71,17 +71,6 @@ class ParamRegistry:
             p.tensor.values = arr.copy()
             p.tensor.grad = None
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.tensor.grad = None
-
-    def grad_norm(self) -> float:
-        total = 0.0
-        for p in self.params.values():
-            if p.tensor.grad is not None:
-                total += float((p.tensor.grad**2).sum())
-        return float(np.sqrt(total))
-
     def value_norm(self) -> float:
         return float(np.sqrt(np.sum([float((p.values**2).sum()) for p in self.params.values()])))
 

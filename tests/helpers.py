@@ -1,14 +1,20 @@
 """Shared test utilities: finite-difference gradient oracle and reference nets.
 
 The reference implementations here are written directly against numpy and are
-kept independent of the package's tape so they can serve as oracles.
+kept independent of the package's tape so they can serve as oracles.  The
+graph helpers at the end build the quadratic dense adjacency and a single
+window's sparse graph as an N x N matrix on the tape, which the package never
+forms.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from hgmts import autodiff as ad
+from hgmts.autodiff import Tensor
+from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, project_qk, select_queries
 
 
 def rel_err(a: float, b: float) -> float:
@@ -153,3 +159,56 @@ def gru_param_values(cell):
 
 def mlp_param_values(mlp):
     return (mlp.l1.w.values, mlp.l1.b.values, mlp.l2.w.values, mlp.l2.b.values)
+
+
+def scatter_2d(w: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
+    """Tape op: place w[i, j] at out[rows[i], cols[i, j]] in a zero matrix of ``shape``.
+
+    Target positions must be distinct: rows unique, cols unique within a row.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    out = np.zeros(shape, dtype=np.float64)
+    out[rows[:, None], cols] = w.values
+
+    def grad_fn(g):
+        return (g[rows[:, None], cols],)
+
+    return Tensor(out, (w,), grad_fn)
+
+
+def dense_adjacency(h: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
+    """Full quadratic attention adjacency on the tape; rows sum to one."""
+    q, k = project_qk(h, wq, wk)
+    scale = 1.0 / math.sqrt(h.shape[1])
+    return ad.softmax_rows(ad.mul(ad.matmul(q, ad.transpose(k)), scale))
+
+
+@dataclass
+class WindowAdjacency(SparseAdjacency):
+    """One window's graph with its N x N matrix on the tape."""
+
+    matrix: Tensor
+
+
+def build_sparse_adjacency(h: Tensor, wq: Tensor, wk: Tensor, n: int, seed=0) -> WindowAdjacency:
+    """One window's graph as a package batch of one, plus its N x N matrix."""
+    n_nodes = h.shape[0]
+    graphs = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, 1, seed)
+    sel_q, sel_keys = graphs.selected_queries[0], graphs.selected_keys[0]
+    weights = ad.reshape(graphs.weights, (n, n))
+    return WindowAdjacency(
+        selected_queries=sel_q,
+        selected_keys=sel_keys,
+        weights=weights,
+        dot_product_count=2 * n_nodes * n,
+        num_nodes=n_nodes,
+        matrix=scatter_2d(weights, sel_q, sel_keys, (n_nodes, n_nodes)),
+    )
+
+
+def select_keys(q_selected, k) -> np.ndarray:
+    """Each query row's strongest keys, as `build_sparse_adjacency_batch` picks them: the
+    n_q largest scaled logits per row, through ``select_queries``."""
+    qv, kv = np.asarray(q_selected), np.asarray(k)
+    return select_queries(qv @ kv.T / math.sqrt(qv.shape[1]), qv.shape[0])

@@ -14,21 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import finite_diff_max_err, jitter_params
+from helpers import build_sparse_adjacency, dense_adjacency, finite_diff_max_err, jitter_params
 from hgmts import autodiff as ad
 from hgmts.autodiff import Tensor
 from hgmts.cli import main
 from hgmts.data import SplitSpec
 from hgmts.decomposition import decompose
 from hgmts.experiments import prepare_windows
-from hgmts.latent_graph import (
-    LgslConfig,
-    build_sparse_adjacency,
-    c_for_gamma,
-    dense_adjacency,
-    query_importance,
-    sample_count,
-)
+from hgmts.latent_graph import c_for_gamma, query_importance, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
 from hgmts.metrics import mse, persistence_forecast
 from hgmts.model import ModelConfig, build_variant
@@ -137,7 +130,7 @@ def test_criterion_1_gradient_suite():
             tiny_cfg(seed=9, blocks_per_stack=2),
             tiny_cfg(seed=10, n_nodes=5, embed_dim=3, horizon=3, rounds=2),
             tiny_cfg(seed=11, kernel=5, padding="zero"),
-            tiny_cfg(seed=12, recompute_graph_each_round=True),
+            tiny_cfg(seed=12, variant="hgmts2", blocks_per_stack=2),
             tiny_cfg(seed=13, n_nodes=2, input_len=6, hidden_dim=5),
             tiny_cfg(seed=14, rounds=1, variant="hgmts5"),
         ]
@@ -195,8 +188,7 @@ def test_criterion_1_gradient_suite():
             probe = rng.uniform(-1, 1, (6, 6))
             return finite_diff_max_err(
                 lambda: ad.sum(ad.mul(
-                    build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=2),
-                                           n_override=6).matrix,
+                    build_sparse_adjacency(h, wq, wk, 6, seed=2).matrix,
                     Tensor(probe))),
                 [h, wq, wk])
 
@@ -242,8 +234,7 @@ def test_criterion_2_lgsl_oracle_equivalence():
                 h = Tensor(rng.uniform(-1, 1, (n, d)))
                 wq = Tensor(rng.uniform(-1, 1, (d, d)))
                 wk = Tensor(rng.uniform(-1, 1, (d, d)))
-                sparse = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=trials),
-                                                n_override=n)
+                sparse = build_sparse_adjacency(h, wq, wk, n, seed=trials)
                 dense = dense_adjacency(h, wq, wk)
                 worst = max(worst, float(np.abs(sparse.matrix.values - dense.values).max()))
                 trials += 1
@@ -265,8 +256,8 @@ def test_criterion_3_complexity_budget():
             h = Tensor(rng.uniform(-1, 1, (n_nodes, d)))
             wq = Tensor(rng.uniform(-1, 1, (d, d)))
             wk = Tensor(rng.uniform(-1, 1, (d, d)))
-            adj = build_sparse_adjacency(h, wq, wk, LgslConfig(c, seed=0))
             n = sample_count(c, n_nodes)
+            adj = build_sparse_adjacency(h, wq, wk, n, seed=0)
             assert adj.dot_product_count <= 2 * n_nodes * n
             counts[n_nodes] = adj.dot_product_count
         ratio = counts[256] / counts[64]

@@ -7,7 +7,7 @@ import pytest
 
 from hgmts.cli import main
 from hgmts.data import SplitSpec
-from hgmts.experiments import REPORT_HEADER, ablation_run, sparsity_sweep
+from hgmts.experiments import REPORT_HEADER, grid_run
 from hgmts.latent_graph import c_for_gamma, sample_count
 from hgmts.model import ModelConfig
 from hgmts.synthetic import generate_coupled, write_csv
@@ -30,16 +30,16 @@ def small_ds():
 class TestSweep:
     def test_row_count_and_mapping(self, small_ds):
         gammas = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-        report = sparsity_sweep(small_ds, SplitSpec(0.7, 0.1, 0.2), gammas, [4, 6],
-                                fast_model_cfg(4), FAST_TRAIN)
+        report = grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "gamma", gammas, [4, 6],
+                          fast_model_cfg(4), FAST_TRAIN)
         assert len(report.rows) == len(gammas) * 2
         counts = [sample_count(c_for_gamma(g, 4), 4) for g in gammas]
         assert counts == sorted(counts)
         assert counts[0] >= 1 and counts[-1] <= 4
 
     def test_csv_format(self, small_ds, tmp_path):
-        report = sparsity_sweep(small_ds, SplitSpec(0.7, 0.1, 0.2), [0.5], [4],
-                                fast_model_cfg(4), FAST_TRAIN)
+        report = grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "gamma", [0.5], [4],
+                          fast_model_cfg(4), FAST_TRAIN)
         path = tmp_path / "r.csv"
         report.write(path)
         lines = path.read_text().splitlines()
@@ -52,19 +52,19 @@ class TestSweep:
 
 class TestAblation:
     def test_single_variant_one_row_per_horizon(self, small_ds):
-        report = ablation_run(small_ds, SplitSpec(0.7, 0.1, 0.2), ["hgmts4"], [4, 6],
-                              fast_model_cfg(4), FAST_TRAIN)
+        report = grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "variant", ["hgmts4"], [4, 6],
+                          fast_model_cfg(4), FAST_TRAIN)
         assert len(report.rows) == 2
         assert {r["variant"] for r in report.rows} == {"hgmts4"}
 
     def test_unknown_variant_rejected(self, small_ds):
         with pytest.raises(ValueError, match="hgmtsX"):
-            ablation_run(small_ds, SplitSpec(0.7, 0.1, 0.2), ["hgmtsX"], [4],
-                         fast_model_cfg(4), FAST_TRAIN)
+            grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "variant", ["hgmtsX"], [4],
+                     fast_model_cfg(4), FAST_TRAIN)
 
     def test_seed_averaging_matches_by_hand(self, small_ds):
-        report = ablation_run(small_ds, SplitSpec(0.7, 0.1, 0.2), ["hgmts4"], [4],
-                              fast_model_cfg(4), FAST_TRAIN, seeds=[0, 1, 2])
+        report = grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "variant", ["hgmts4"], [4],
+                          fast_model_cfg(4), FAST_TRAIN, seeds=[0, 1, 2])
         assert len(report.rows) == 3
         avg = report.averaged()
         assert len(avg.rows) == 1
@@ -183,6 +183,12 @@ class TestCli:
         code = main(["train", "--config", "bad.cfg"])
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_removed_recompute_key_rejected(self, workdir, capsys):
+        (workdir / "old.cfg").write_text("dataset = series.csv\nrecompute_graph_per_round = true\n")
+        code = main(["train", "--config", "old.cfg"])
+        assert code == 1
+        assert "unknown config key 'recompute_graph_per_round'" in capsys.readouterr().err
 
     def test_missing_dataset_fails_nonzero(self, workdir):
         (workdir / "missing.cfg").write_text("dataset = gone.csv\nK = 4\nL = 8\n")

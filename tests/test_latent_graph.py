@@ -5,20 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from helpers import finite_diff_max_err, ref_softmax_rows, ref_sparse_adjacency_batch
+from helpers import (
+    build_sparse_adjacency,
+    dense_adjacency,
+    finite_diff_max_err,
+    ref_softmax_rows,
+    ref_sparse_adjacency_batch,
+    select_keys,
+)
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.latent_graph import (
-    LgslConfig,
-    build_sparse_adjacency,
     build_sparse_adjacency_batch,
     c_for_gamma,
-    dense_adjacency,
     dump_edges,
     project_qk,
     query_importance,
     sample_count,
-    select_keys,
     select_queries,
 )
 
@@ -169,21 +172,21 @@ class TestSparseAdjacency:
         rng = np.random.default_rng(10)
         for n in range(2, 17):
             h, wq, wk = random_inputs(rng, n)
-            sparse = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=n), n_override=n)
+            sparse = build_sparse_adjacency(h, wq, wk, n, seed=n)
             dense = dense_adjacency(h, wq, wk)
             np.testing.assert_allclose(sparse.matrix.values, dense.values, atol=1e-10)
 
     def test_single_node(self):
         rng = np.random.default_rng(11)
         h, wq, wk = random_inputs(rng, 1)
-        adj = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0))
+        adj = build_sparse_adjacency(h, wq, wk, sample_count(1.0, 1))
         np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
         assert adj.dot_product_count <= 2
 
     def test_unselected_rows_exactly_zero_and_selected_stochastic(self):
         rng = np.random.default_rng(12)
         h, wq, wk = random_inputs(rng, 10)
-        adj = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=0))  # n = floor(ln 10) = 2
+        adj = build_sparse_adjacency(h, wq, wk, sample_count(1.0, 10), seed=0)  # n = floor(ln 10) = 2
         matrix = adj.matrix.values
         selected = set(adj.selected_queries.tolist())
         keys_of = dict(zip(adj.selected_queries.tolist(), adj.selected_keys))
@@ -202,17 +205,16 @@ class TestSparseAdjacency:
         rng = np.random.default_rng(13)
         for n_nodes in (4, 16, 64):
             h, wq, wk = random_inputs(rng, n_nodes)
-            cfg = LgslConfig(2.0, seed=1)
-            adj = build_sparse_adjacency(h, wq, wk, cfg)
+            adj = build_sparse_adjacency(h, wq, wk, sample_count(2.0, n_nodes), seed=1)
             assert adj.dot_product_count <= 2 * n_nodes * sample_count(2.0, n_nodes)
 
     def test_permutation_consistency_with_full_selection(self):
         rng = np.random.default_rng(14)
         h, wq, wk = random_inputs(rng, 6)
         perm = rng.permutation(6)
-        base = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=0), n_override=6)
+        base = build_sparse_adjacency(h, wq, wk, 6, seed=0)
         permuted = build_sparse_adjacency(
-            Tensor(h.values[perm]), wq, wk, LgslConfig(1.0, seed=0), n_override=6
+            Tensor(h.values[perm]), wq, wk, 6, seed=0
         )
         np.testing.assert_allclose(
             permuted.matrix.values[np.ix_(np.argsort(perm), np.argsort(perm))],
@@ -226,7 +228,7 @@ class TestSparseAdjacency:
         probe = rng.uniform(-1, 1, (5, 5))
 
         def loss():
-            adj = build_sparse_adjacency(h, wq, wk, LgslConfig(1.2, seed=3))
+            adj = build_sparse_adjacency(h, wq, wk, sample_count(1.2, 5), seed=3)
             return ad.sum(ad.mul(adj.matrix, Tensor(probe)))
 
         assert finite_diff_max_err(loss, [h, wq, wk]) < 1e-4
@@ -248,7 +250,7 @@ class TestSparseAdjacency:
             np.testing.assert_allclose(batched.weights.values, ref_w, atol=1e-12)
         for b, adj in enumerate(batched):
             win = Tensor(h.values[b * n_nodes : (b + 1) * n_nodes])
-            single = build_sparse_adjacency(win, wq, wk, LgslConfig(1.0), n_override=n_nodes)
+            single = build_sparse_adjacency(win, wq, wk, n_nodes, seed=0)
             np.testing.assert_array_equal(adj.selected_queries, single.selected_queries)
             np.testing.assert_array_equal(adj.selected_keys, single.selected_keys)
             np.testing.assert_allclose(adj.weights.values, single.weights.values, atol=1e-12)
@@ -257,6 +259,6 @@ class TestSparseAdjacency:
     def test_dump_edges_matches_matrix(self):
         rng = np.random.default_rng(17)
         h, wq, wk = random_inputs(rng, 6)
-        adj = build_sparse_adjacency(h, wq, wk, LgslConfig(1.0, seed=2))
+        adj = build_sparse_adjacency(h, wq, wk, sample_count(1.0, 6), seed=2)
         for i, j, w in dump_edges(adj):
             np.testing.assert_allclose(adj.matrix.values[i, j], w)

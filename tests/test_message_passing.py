@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    build_sparse_adjacency,
     finite_diff_max_err,
     gru_param_values,
     jitter_params,
@@ -16,12 +17,7 @@ from helpers import (
 )
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
-from hgmts.latent_graph import (
-    GraphBatch,
-    LgslConfig,
-    build_sparse_adjacency,
-    build_sparse_adjacency_batch,
-)
+from hgmts.latent_graph import GraphBatch, build_sparse_adjacency_batch, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
 from hgmts.nn import Linear, ParamRegistry, gru_round
 
@@ -217,7 +213,7 @@ class TestGatedUpdate:
         rng = np.random.default_rng(17)
         h = Tensor(rng.uniform(-3, 3, (5, 4)))
         agg = Tensor(rng.uniform(-3, 3, (5, 4)))
-        beta = unit.gate(ad.concat([h, agg], axis=1)).values
+        beta = unit.gate(Tensor(np.concatenate([h.values, agg.values], axis=1))).values
         assert (beta > 0).all() and (beta < 1).all()
         out = unit.gated_update(h, agg, np.arange(h.shape[0])).values
         h1 = unit.gru1(h, agg).values
@@ -308,13 +304,13 @@ class TestRunMessagePassing:
     def test_zero_rounds_returns_encoding(self):
         unit, _ = make_unit(seed=20)
         x = Tensor(np.random.default_rng(21).uniform(-1, 1, (3, 6)))
-        out = unit.run(x, lambda h: full_graph(3), 0)
+        out = unit.run(unit.encode_nodes(x), full_graph(3), 0)
         np.testing.assert_array_equal(out.values, unit.encode_nodes(x).values)
 
     def test_negative_rounds_rejected(self):
         unit, _ = make_unit()
         with pytest.raises(ContractError):
-            unit.run(Tensor(np.zeros((2, 6))), lambda h: full_graph(2), -1)
+            unit.run(unit.encode_nodes(Tensor(np.zeros((2, 6)))), full_graph(2), -1)
 
     def test_single_node_self_message(self):
         """N=1: the graph is the self-loop with weight one and g(0) drives the update."""
@@ -323,12 +319,12 @@ class TestRunMessagePassing:
         wk = reg.weight("wk", 4, 4)
         x = Tensor(np.random.default_rng(23).uniform(-1, 1, (1, 6)))
 
-        def graph_fn(h):
-            adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, LgslConfig(1.0))
-            np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
-            return build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 1, 0)
+        h = unit.encode_nodes(x)
+        adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, sample_count(1.0, 1))
+        np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
+        graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 1, 0)
 
-        out = unit.run(x, graph_fn, 1).values
+        out = unit.run(h, graph, 1).values
         h0 = unit.encode_nodes(x).values
         g0 = ref_mlp2(np.zeros((1, 4)), *mlp_param_values(unit.message_net))
         h1 = ref_gru(h0, g0, *gru_param_values(unit.gru1))
@@ -342,7 +338,7 @@ class TestRunMessagePassing:
         unit, _ = make_unit(seed=24)
         x = Tensor(np.random.default_rng(25).uniform(-1, 1, (3, 6)))
         edges = full_graph(3)
-        out = unit.run(x, lambda h: edges, 1).values
+        out = unit.run(unit.encode_nodes(x), edges, 1).values
 
         h0 = unit.encode_nodes(x)
         query_rows, key_rows = edges.rows()
@@ -370,7 +366,7 @@ class TestRunMessagePassing:
         for _ in range(2):
             expected = ref_message_round(expected, query_rows, key_rows, graph.weights.values,
                                          **params)
-        out = unit.run(x, lambda h: graph, 2).values
+        out = unit.run(unit.encode_nodes(x), graph, 2).values
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_node_permutation_equivariance(self):
@@ -379,8 +375,8 @@ class TestRunMessagePassing:
         x = rng.uniform(-1, 1, (4, 6))
         perm = rng.permutation(4)
 
-        base = unit.run(Tensor(x), lambda h: full_graph(4), 3).values
-        permuted = unit.run(Tensor(x[perm]), lambda h: full_graph(4), 3).values
+        base = unit.run(unit.encode_nodes(Tensor(x)), full_graph(4), 3).values
+        permuted = unit.run(unit.encode_nodes(Tensor(x[perm])), full_graph(4), 3).values
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_zero_adjacency_keeps_nodes_independent(self):
@@ -390,10 +386,10 @@ class TestRunMessagePassing:
                            weights=Tensor(np.zeros((1, 0, 0))), num_nodes=3)
         rng = np.random.default_rng(29)
         x = rng.uniform(-1, 1, (3, 6))
-        base = unit.run(Tensor(x), lambda h: empty, 2).values
+        base = unit.run(unit.encode_nodes(Tensor(x)), empty, 2).values
         x2 = x.copy()
         x2[1] += rng.uniform(0.5, 1.0, 6)
-        changed = unit.run(Tensor(x2), lambda h: empty, 2).values
+        changed = unit.run(unit.encode_nodes(Tensor(x2)), empty, 2).values
         np.testing.assert_array_equal(changed[0], base[0])
         np.testing.assert_array_equal(changed[2], base[2])
         assert (changed[1] != base[1]).any()
@@ -407,12 +403,10 @@ class TestRunMessagePassing:
         x = Tensor(np.random.default_rng(31).uniform(-1, 1, (3, 5)))
         probe = np.random.default_rng(32).uniform(-1, 1, (3, 3))
 
-        def graph_fn(h):
-            return build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 1, 5)
-
         def loss():
-            out = unit.run(x, graph_fn, 3)
-            return ad.sum(ad.mul(out, Tensor(probe)))
+            h = unit.encode_nodes(x)
+            graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 1, 5)
+            return ad.sum(ad.mul(unit.run(h, graph, 3), Tensor(probe)))
 
         leaves = [x] + [p.tensor for p in reg.params.values()]
         assert finite_diff_max_err(loss, leaves, max_per_leaf=6) < 1e-4
@@ -430,8 +424,7 @@ class TestRunMessagePassing:
 
         def graph_fn(h):
             if "idx" not in frozen:
-                adj = build_sparse_adjacency(h, wq.tensor, wk.tensor,
-                                             LgslConfig(1.0, seed=5), n_override=2)
+                adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, 2, seed=5)
                 frozen["idx"] = (adj.selected_queries, adj.selected_keys)
             sel_q, sel_keys = frozen["idx"]
             q, k = ad.matmul(h, wq.tensor), ad.matmul(h, wk.tensor)
@@ -442,7 +435,8 @@ class TestRunMessagePassing:
                               weights=ad.reshape(weights, (1, 2, 2)), num_nodes=3)
 
         def loss():
-            return ad.sum(ad.mul(unit.run(x, graph_fn, 3), Tensor(probe)))
+            h = unit.encode_nodes(x)
+            return ad.sum(ad.mul(unit.run(h, graph_fn(h), 3), Tensor(probe)))
 
         leaves = [x] + [p.tensor for p in reg.params.values()]
         assert finite_diff_max_err(loss, leaves, max_per_leaf=6) < 1e-4

@@ -1,20 +1,15 @@
 """Block/stack/model wiring, residual chaining, and the six variants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from helpers import finite_diff_max_err, jitter_params
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
-from hgmts.model import (
-    BlockOutput,
-    ModelConfig,
-    block_forward,
-    build_variant,
-    load_model,
-    model_forward,
-    stack_forward,
-)
+from hgmts.checkpoint import save_checkpoint
+from hgmts.model import BlockOutput, ForwardContext, ModelConfig, build_variant, load_model
 
 TINY = dict(n_nodes=3, input_len=8, horizon=4, embed_dim=4, kernel=3, rounds=3,
             stacks=1, blocks_per_stack=1, gamma=1.0)
@@ -23,6 +18,21 @@ TINY = dict(n_nodes=3, input_len=8, horizon=4, embed_dim=4, kernel=3, rounds=3,
 def tiny_model(variant="hgmts1", seed=0, **overrides):
     cfg = ModelConfig(**{**TINY, **overrides, "variant": variant, "seed": seed})
     return build_variant(cfg)
+
+
+# Pinned from the wiring before the graph key, at stacks=2, blocks_per_stack=2:
+# (parameter count, sha256 prefix of the sorted names joined by newlines, the
+# (stack, block, pathway) of every pathway that builds a graph).  Each of them
+# owns the only wq/wk of its key; the others reuse its graph.
+ALL_PATHWAYS = [(s, b, p) for s in (0, 1) for b in (0, 1) for p in ("seas", "trend")]
+SHARING = {
+    "hgmts1": (272, "4cbc1d7f743159d9", ALL_PATHWAYS),
+    "hgmts2": (264, "a96b1fe85bda8294", [t for t in ALL_PATHWAYS if t[2] == "seas"]),
+    "hgmts3": (260, "bd12ca5556631451", ALL_PATHWAYS[:2]),
+    "hgmts4": (96, "f9e59f08857d7742", []),
+    "hgmts5": (136, "21bfd1cc9caaab88", [(s, b, "main") for s in (0, 1) for b in (0, 1)]),
+    "hgmts6": (192, "bd022ca9109ffb04", ALL_PATHWAYS),
+}
 
 
 def rand_window(cfg, seed=0):
@@ -39,14 +49,16 @@ def zero_forecast_heads(model):
 class TestBlockForward:
     def test_paper_scale_shapes(self):
         model = tiny_model(n_nodes=7, input_len=96, horizon=192, embed_dim=8, kernel=25)
-        out = block_forward(model.stacks[0][0], rand_window(model.cfg))
+        _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
+        out = ctx.block_records[0].output
         assert out.backcast.shape == (7, 96)
         assert out.forecast.shape == (7, 192)
 
     def test_zeroed_forecast_heads_give_zero_forecast(self):
         model = tiny_model()
         zero_forecast_heads(model)
-        out = block_forward(model.stacks[0][0], rand_window(model.cfg))
+        _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
+        out = ctx.block_records[0].output
         np.testing.assert_array_equal(out.forecast.values, np.zeros((3, 4)))
 
     def test_single_pathway_variant_output_is_its_pathway_output(self):
@@ -89,7 +101,9 @@ class TestStackForward:
         cfg = ModelConfig(**{**TINY, "variant": "hgmts1", "seed": 0})
         fake = FakeBlock(cfg, np.ones((3, 4)))
         x = rand_window(cfg)
-        residual, forecast = stack_forward([fake], x)
+        model = build_variant(cfg)
+        model.stacks = [[fake]]
+        forecast, residual, _ = model.forward_batch(x)
         np.testing.assert_array_equal(residual.values, np.zeros_like(x))
         np.testing.assert_array_equal(forecast.values, np.ones((3, 4)))
 
@@ -98,7 +112,9 @@ class TestStackForward:
         first = FakeBlock(cfg, np.ones((3, 4)))
         second = FakeBlock(cfg, 2 * np.ones((3, 4)))
         x = rand_window(cfg)
-        residual, forecast = stack_forward([first, second], x)
+        model = build_variant(cfg)
+        model.stacks = [[first, second]]
+        forecast, residual, _ = model.forward_batch(x)
         np.testing.assert_array_equal(second.inputs[0], x - first.inputs[0])
         np.testing.assert_array_equal(forecast.values, 3 * np.ones((3, 4)))
 
@@ -111,7 +127,7 @@ class TestStackForward:
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ContractError):
-            stack_forward([], np.zeros((3, 8)))
+            ModelConfig(**{**TINY, "blocks_per_stack": 0})
 
 
 class TestModelForward:
@@ -125,8 +141,13 @@ class TestModelForward:
         x = rand_window(ModelConfig(**{**TINY, "variant": "hgmts1"}))
         a = tiny_model(seed=5)
         b = tiny_model(seed=5)
-        whole = model_forward(a, x)
-        _, stack_fc = stack_forward(b.stacks[0], x)
+        whole = a.forward(x)
+        ctx = ForwardContext(seed=b.cfg.seed)
+        residual, stack_fc = Tensor(x), None
+        for block in b.stacks[0]:
+            out = block.forward(residual, 1, ctx)
+            residual = ad.sub(residual, out.backcast)
+            stack_fc = out.forecast if stack_fc is None else ad.add(stack_fc, out.forecast)
         np.testing.assert_allclose(whole.values, stack_fc.values, atol=1e-12)
 
     def test_three_stacks_match_stepwise_composition(self):
@@ -216,7 +237,7 @@ class TestVariants:
         assert (moved4[2] != base4[2]).any()
 
     def test_parameter_count_audit(self):
-        counts = {v: tiny_model(v, stacks=3).parameter_count()
+        counts = {v: sum(p.values.size for p in tiny_model(v, stacks=3).parameters())
                   for v in ("hgmts1", "hgmts6")}
         assert counts["hgmts6"] < counts["hgmts1"]
 
@@ -238,6 +259,20 @@ class TestVariants:
             _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
             assert len(ctx.graph_records) == expected_graphs
 
+    @pytest.mark.parametrize("variant", sorted(SHARING))
+    def test_graph_key_sharing_with_two_blocks_per_stack(self, variant):
+        count, digest, owners = SHARING[variant]
+        model = tiny_model(variant, stacks=2, blocks_per_stack=2)
+        names = sorted(model.registry.params)
+        assert len(names) == count
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest()[:16] == digest
+        assert [n[: -len(".wq")] for n in names if n.endswith(".wq")] == \
+            [f"stack{s}.block{b}.{p}" for s, b, p in owners]
+        x = np.random.default_rng(0).uniform(-1, 1, (3, 3, 8))
+        _, _, ctx = model.forward_batch(x, collect=True)
+        assert [rec[:3] for rec in ctx.graph_records] == [t for t in owners for _ in range(3)]
+        assert len(ctx.graph_records) == 3 * model.graph_builds_per_window()
+
 
 class TestPersistence:
     def test_checkpoint_roundtrip_preserves_outputs(self, tmp_path):
@@ -250,3 +285,24 @@ class TestPersistence:
         assert run_info["dataset"] == "unit-test"
         assert loaded.cfg == model.cfg
         np.testing.assert_array_equal(loaded.forward(x).values, expected)
+
+    @pytest.mark.parametrize("knob", [None, False, True])
+    def test_checkpoint_with_removed_recompute_knob(self, tmp_path, knob):
+        """Older checkpoints store recompute_graph_each_round in their model
+        config; true named a different model and must not load as this one."""
+        model = tiny_model(seed=33)
+        stored = {"n_nodes": 3, "input_len": 8, "horizon": 4, "embed_dim": 4, "hidden_dim": None,
+                  "kernel": 3, "padding": "edge", "gamma": 1.0, "sampling_c": None, "rounds": 3,
+                  "stacks": 1, "blocks_per_stack": 1, "variant": "hgmts1", "seed": 33}
+        if knob is not None:
+            stored["recompute_graph_each_round"] = knob
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
+        if knob:
+            with pytest.raises(ContractError, match="recompute_graph_each_round"):
+                load_model(path)
+            return
+        loaded, _ = load_model(path)
+        assert loaded.cfg == model.cfg
+        x = rand_window(model.cfg, seed=34)
+        np.testing.assert_array_equal(loaded.forward(x).values, model.forward(x).values)

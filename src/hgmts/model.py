@@ -82,8 +82,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANT_IDS:
             raise ContractError(f"unknown variant {self.variant!r}; expected one of {VARIANT_IDS}")
-        if self.kernel % 2 == 0:
-            raise ContractError(f"kernel must be odd, got {self.kernel}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ContractError(f"kernel must be odd and >= 1, got {self.kernel}")
+        if self.padding not in ("edge", "zero"):
+            raise ContractError(f"padding must be 'edge' or 'zero', got {self.padding!r}")
         if self.stacks < 1 or self.blocks_per_stack < 1:
             raise ContractError(f"need at least one stack of at least one block, got "
                                 f"stacks={self.stacks}, blocks_per_stack={self.blocks_per_stack}")
@@ -111,6 +113,9 @@ class ModelConfig:
             raise ContractError("recompute_graph_each_round=true is no longer supported: "
                                 "graphs are built once per forward pass")
         known = {f.name for f in fields(cls)}
+        unknown = sorted(set(d) - known - {"recompute_graph_each_round"})
+        if unknown:
+            raise ContractError(f"unknown model config keys {unknown}")
         return cls(**{k: v for k, v in d.items() if k in known})
 
 

@@ -75,6 +75,32 @@ def ref_sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def ref_avgpool1d(a: Tensor, kernel: int, padding: str = "edge") -> Tensor:
+    """Tape op: the moving average as padding plus ``kernel`` shifted adds, and
+    its backward as the same adds with the padded ends folded back."""
+    pad = (kernel - 1) // 2
+    length = a.values.shape[1]
+    mode = "edge" if padding == "edge" else "constant"
+    padded = np.pad(a.values, ((0, 0), (pad, pad)), mode=mode)
+    out = np.zeros_like(a.values)
+    for offset in range(kernel):
+        out += padded[:, offset : offset + length]
+    out /= kernel
+
+    def grad_fn(g):
+        gp = np.zeros_like(padded)
+        for offset in range(kernel):
+            gp[:, offset : offset + length] += g
+        gp /= kernel
+        gx = gp[:, pad : pad + length].copy()
+        if padding == "edge" and pad:
+            gx[:, 0] += gp[:, :pad].sum(axis=1)
+            gx[:, -1] += gp[:, pad + length :].sum(axis=1)
+        return (gx,)
+
+    return Tensor(out, (a,), grad_fn)
+
+
 def ref_mlp2(x, w1, b1, w2, b2):
     hidden = np.maximum(x @ w1 + b1, 0.0)
     return hidden @ w2 + b2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_diff_max_err, ref_softmax_rows, scatter_2d
+from helpers import finite_diff_max_err, ref_avgpool1d, ref_softmax_rows, scatter_2d
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, Tensor
 
@@ -249,6 +249,30 @@ class TestAvgPool:
         err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.avgpool1d(x, 9, "edge"),
                                                         ad.avgpool1d(x, 9, "edge"))), [x])
         assert err < 1e-4
+
+    @pytest.mark.parametrize("length", [3, 24, 48, 96])
+    @pytest.mark.parametrize("padding", ["edge", "zero"])
+    @pytest.mark.parametrize("kernel", [1, 3, 9, 25])
+    def test_matches_shifted_add_oracle(self, kernel, padding, length):
+        rng = np.random.default_rng(kernel * length)
+        x = rng.uniform(-5, 5, (6, length))
+        probe = Tensor(rng.uniform(-1, 1, (6, length)))
+        grads = []
+        for op in (ad.avgpool1d, ref_avgpool1d):
+            leaf = Tensor(x)
+            out = op(leaf, kernel, padding)
+            ad.backward(ad.sum(ad.mul(out, probe)))
+            grads.append((out.values, leaf.grad))
+        (out, grad), (ref_out, ref_grad) = grads
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+    def test_count_matrix_is_cached_and_read_only(self):
+        counts = ad.window_counts(48, 25, "edge")
+        assert ad.window_counts(48, 25, "edge") is counts
+        np.testing.assert_array_equal(counts.sum(axis=0), 25.0)
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0, 0] = 0.0
 
 
 class TestAgainstNumpyOracle:

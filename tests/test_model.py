@@ -194,6 +194,12 @@ class TestVariants:
         with pytest.raises(ContractError, match="hgmts9"):
             ModelConfig(**{**TINY, "variant": "hgmts9"})
 
+    @pytest.mark.parametrize("bad, match", [({"kernel": -1}, "kernel"), ({"kernel": 0}, "kernel"),
+                                            ({"padding": "mirror"}, "mirror")])
+    def test_bad_decomposition_settings_rejected_at_construction(self, bad, match):
+        with pytest.raises(ContractError, match=match):
+            ModelConfig(**{**TINY, **bad})
+
     def test_graphless_variant_gives_identical_forecasts_for_identical_windows(self):
         model = tiny_model("hgmts4", n_nodes=2)
         row = np.random.default_rng(15).uniform(-1, 1, 8)
@@ -306,3 +312,15 @@ class TestPersistence:
         assert loaded.cfg == model.cfg
         x = rand_window(model.cfg, seed=34)
         np.testing.assert_array_equal(loaded.forward(x).values, model.forward(x).values)
+
+    def test_checkpoint_with_unknown_model_key_rejected(self, tmp_path):
+        """A misspelt field must not load as the default: blocks_per_stak=2
+        would otherwise give a one-block-per-stack model."""
+        model = tiny_model(seed=35)
+        stored = model.cfg.to_dict()
+        del stored["blocks_per_stack"]
+        stored["blocks_per_stak"] = 2
+        path = tmp_path / "typo.ckpt"
+        save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
+        with pytest.raises(ContractError, match="blocks_per_stak"):
+            load_model(path)

@@ -35,19 +35,21 @@ def _out_dir(args, spec: RunSpec | None = None) -> Path:
     return p
 
 
+def _synth_kwargs(spec: RunSpec, **flags) -> dict:
+    """``generate_coupled`` arguments from the config's synth_* keys; a flag that is
+    not None wins over its key."""
+    given = {"n": 8, "length": 2000, "seed": 0, "lag": 30, "noise": 0.3, **spec.synth,
+             **{k: v for k, v in flags.items() if v is not None}}
+    return dict(n_series=given["n"], length=given["length"], seed=given["seed"],
+                coupling_lag=given["lag"], noise_std=given["noise"])
+
+
 def _load_dataset(spec: RunSpec, path_override: str | None = None):
     source = path_override or spec.dataset
     if source is None:
         raise ContractError("no dataset configured; set 'dataset' in the config or pass --data")
     if source == "synthetic":
-        ds, _ = generate_coupled(
-            n_series=spec.synth.get("n", 8),
-            length=spec.synth.get("length", 2000),
-            seed=spec.synth.get("seed", 0),
-            coupling_lag=spec.synth.get("lag", 30),
-            noise_std=spec.synth.get("noise", 0.3),
-        )
-        return ds
+        return generate_coupled(**_synth_kwargs(spec))[0]
     if not Path(source).exists():
         raise FileNotFoundError(f"dataset file not found: {source}")
     return load_csv(source, name=spec.name or Path(source).stem, frequency=spec.frequency,
@@ -148,7 +150,8 @@ def _dump_predictions(model, windows, path) -> None:
             pred = model.forward(x).values
             for node in range(n):
                 for step in range(y.shape[1]):
-                    fh.write(f"{wi},{node},{step},{y[node, step]!r},{pred[node, step]!r}\n")
+                    fh.write(f"{wi},{node},{step},{float(y[node, step])!r},"
+                             f"{float(pred[node, step])!r}\n")
 
 
 def cmd_grid(args) -> int:
@@ -179,13 +182,10 @@ def cmd_grid(args) -> int:
 
 def cmd_synth_gen(args) -> int:
     spec = load_run_spec(args.config, _overrides(args)) if args.config else RunSpec()
-    ds, coupling = generate_coupled(
-        n_series=args.n or spec.synth.get("n", 8),
-        length=args.length or spec.synth.get("length", 2000),
-        seed=args.seed if args.seed is not None else spec.synth.get("seed", 0),
-        coupling_lag=args.lag or spec.synth.get("lag", 30),
-        noise_std=args.noise if args.noise is not None else spec.synth.get("noise", 0.3),
-    )
+    # a zero --n, --length or --lag falls back to the config, as an unset flag does
+    ds, coupling = generate_coupled(**_synth_kwargs(
+        spec, n=args.n or None, length=args.length or None, seed=args.seed,
+        lag=args.lag or None, noise=args.noise))
     out = _out_dir(args, spec)
     path = out / (args.file or "synthetic.csv")
     write_csv(ds, path)

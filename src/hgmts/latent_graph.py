@@ -88,35 +88,32 @@ def project_qk(h: Tensor, wq: Tensor, wk: Tensor) -> tuple[Tensor, Tensor]:
     return ad.matmul(h, wq), ad.matmul(h, wk)
 
 
-def query_importance(q, k_sampled) -> Tensor:
+def query_importance(q: np.ndarray, k_sampled: np.ndarray) -> np.ndarray:
     """Divergence of each query's attention over the sampled keys from uniform.
 
     score_i = KL(uniform || softmax(q_i k_j / sqrt(D) over sampled j))
             = logsumexp(l_i) - mean(l_i) - ln n
     Zero when a query spreads its attention evenly; grows as it concentrates.
     Leading batch axes are kept: (B, N, D) queries and (B, n, D) keys give
-    (B, N) scores.  Returned as a constant (selection is not differentiated).
+    (B, N) scores.  Plain arrays in and out (selection is not differentiated).
     """
-    qv = q.values if isinstance(q, Tensor) else np.asarray(q, dtype=np.float64)
-    kv = k_sampled.values if isinstance(k_sampled, Tensor) else np.asarray(k_sampled, dtype=np.float64)
-    n = kv.shape[-2]
+    n = k_sampled.shape[-2]
     if n < 1:
         raise ContractError("query_importance requires at least one sampled key")
-    d = qv.shape[-1]
-    logits = qv @ np.swapaxes(kv, -1, -2) / math.sqrt(d)
+    d = q.shape[-1]
+    logits = q @ np.swapaxes(k_sampled, -1, -2) / math.sqrt(d)
     peak = logits.max(axis=-1, keepdims=True)
     lse = peak[..., 0] + np.log(np.exp(logits - peak).sum(axis=-1))
     scores = lse - logits.mean(axis=-1) - math.log(n)
-    return Tensor(np.maximum(scores, 0.0))  # clamp fp residue; KL >= 0
+    return np.maximum(scores, 0.0)  # clamp fp residue; KL >= 0
 
 
-def select_queries(scores, n: int) -> np.ndarray:
+def select_queries(scores: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest scores along the last axis, in ascending order;
     ties go to the lowest index.  Picks the kept queries and each one's keys."""
-    s = scores.values if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    if n > s.shape[-1]:
-        raise ContractError(f"cannot select {n} queries from {s.shape[-1]}")
-    order = np.argsort(-s, axis=-1, kind="stable")
+    if n > scores.shape[-1]:
+        raise ContractError(f"cannot select {n} queries from {scores.shape[-1]}")
+    order = np.argsort(-scores, axis=-1, kind="stable")
     return np.sort(order[..., :n], axis=-1)
 
 
@@ -126,27 +123,26 @@ def build_sparse_adjacency_batch(
     wk: Tensor,
     n_nodes: int,
     n: int,
-    batch: int,
     seed,
 ) -> GraphBatch:
-    """The graphs of ``batch`` windows whose N embedding rows are stacked in ``h``.
+    """The graphs of the windows whose N embedding rows are stacked in ``h``.
 
-    Per window: sample n keys, keep the n queries whose attention over the
-    sample is most concentrated, then attend each of them to its n strongest
-    keys.  That is N*n dot products to rank the queries and n*N to score the
-    kept ones against every key (2*N*n in all; the softmax reuses the latter).
-    One generator draws every window's key sample, in window order; the
-    projections, scores, key gather and softmax each run once for the batch.
+    Per window: keep the n queries whose attention over a sample of n keys is
+    most concentrated, then attend each of them to its n strongest keys.  That
+    is N*n dot products to rank the queries and n*N to score the kept ones
+    against every key (2*N*n in all; the softmax reuses the latter).  One key
+    sample, drawn from ``seed``, serves every window, so a window's graph does
+    not depend on the others in the batch; the projections, scores, key gather
+    and softmax each run once for the batch.
     """
     if not 1 <= n <= n_nodes:
         raise ContractError(f"selection size {n} out of range [1, {n_nodes}]")
-    dim = h.shape[1]
+    batch, dim = h.shape[0] // n_nodes, h.shape[1]
     q, k = project_qk(h, wq, wk)
     kv = k.values.reshape(batch, n_nodes, dim)
-    rng = np.random.default_rng(seed)
-    sampled = np.stack([rng.choice(n_nodes, size=n, replace=False) for _ in range(batch)])
-    k_sampled = np.take_along_axis(kv, sampled[..., None], axis=1)
-    sel_q = select_queries(query_importance(q.values.reshape(batch, n_nodes, dim), k_sampled), n)
+    sampled = np.random.default_rng(seed).choice(n_nodes, size=n, replace=False)
+    qv = q.values.reshape(batch, n_nodes, dim)
+    sel_q = select_queries(query_importance(qv, kv[:, sampled]), n)
 
     offsets = n_nodes * np.arange(batch)[:, None]
     q_sel = ad.reshape(ad.take_rows(q, (sel_q + offsets).reshape(-1)), (batch, n, dim))

@@ -137,15 +137,17 @@ class BlockRecord:
 
 @dataclass
 class ForwardContext:
-    """Per-pass state: the graphs built so far, seeds, and records."""
+    """One pass's graphs and records; it dies with the pass, the model keeps nothing.
 
-    seed: int
-    pass_index: int = 0
+    ``step`` is the training step (None at inference); with the model seed and
+    the pathway's place it is all that seeds a graph's key sample.
+    """
+
+    step: int | None = None
     collect: bool = False
     graphs: dict = field(default_factory=dict)  # graph key -> GraphBatch
     graph_records: list = field(default_factory=list)  # (stack, block, pathway, window, adj)
     block_records: list = field(default_factory=list)
-    graph_builds: int = 0
 
 
 class Pathway:
@@ -178,26 +180,21 @@ class Block:
                 owns_graph=key is not None and key not in claimed_keys)
             claimed_keys.add(key)
 
-    def _build_graph(self, pathway_name: str, h: Tensor, batch: int,
-                     ctx: ForwardContext) -> GraphBatch:
-        """The batch's sparse graphs over the stacked embedding rows."""
+    def _build_graph(self, pathway_name: str, h: Tensor, ctx: ForwardContext) -> GraphBatch:
+        """The batch's sparse graphs over the stacked embedding rows.
+
+        Every window shares one key sample, seeded by (model seed, stack, block,
+        pathway index) and, in training, the step as spawn key.
+        """
         cfg = self.cfg
         pw = self.pathways[pathway_name]
-        path_idx = list(self.pathways).index(pathway_name)
         seed = np.random.SeedSequence(
-            [
-                ctx.seed & 0x7FFFFFFF,
-                ctx.pass_index,
-                self.stack_index,
-                self.block_index,
-                path_idx,
-                ctx.graph_builds,
-            ]
+            [cfg.seed, self.stack_index, self.block_index, list(self.pathways).index(pathway_name)],
+            spawn_key=() if ctx.step is None else (ctx.step,),
         )
         graphs = build_sparse_adjacency_batch(
-            h, pw.wq.tensor, pw.wk.tensor, cfg.n_nodes, cfg.selection_size(), batch, seed
+            h, pw.wq.tensor, pw.wk.tensor, cfg.n_nodes, cfg.selection_size(), seed
         )
-        ctx.graph_builds += batch
         if ctx.collect:
             ctx.graph_records.extend(
                 (self.stack_index, self.block_index, pathway_name, b, adj)
@@ -205,7 +202,7 @@ class Block:
             )
         return graphs
 
-    def forward(self, x: Tensor, batch: int, ctx: ForwardContext) -> BlockOutput:
+    def forward(self, x: Tensor, ctx: ForwardContext) -> BlockOutput:
         """Decompose, run each pathway, and sum the head outputs."""
         cfg = self.cfg
         if self.wiring.single_pathway:
@@ -222,7 +219,7 @@ class Block:
             key = pw.graph_key
             if key is not None:
                 if key not in ctx.graphs:  # the key's owner runs first
-                    ctx.graphs[key] = self._build_graph(name, h, batch, ctx)
+                    ctx.graphs[key] = self._build_graph(name, h, ctx)
                 h = pw.unit.run(h, ctx.graphs[key], cfg.rounds)
             bc = pw.backcast_head(h)
             fc = pw.forecast_head(h)
@@ -248,20 +245,17 @@ class Model:
              for bi in range(cfg.blocks_per_stack)]
             for si in range(cfg.stacks)
         ]
-        self._pass_counter = 0
 
     # -- forward ------------------------------------------------------------
 
-    def _new_context(self, collect: bool) -> ForwardContext:
-        ctx = ForwardContext(seed=self.cfg.seed, pass_index=self._pass_counter, collect=collect)
-        self._pass_counter += 1
-        return ctx
-
-    def forward_batch(self, windows, collect: bool = False):
+    def forward_batch(self, windows, collect: bool = False, step: int | None = None):
         """Run a batch of (N, L) windows stacked into one tape.
 
         Returns (forecast rows x K, residual rows x L, ctx) where rows are the
-        windows' node rows concatenated in order.
+        windows' node rows concatenated in order.  A pure function of the
+        parameters, the windows and ``step``: training passes its step count so
+        key samples vary between steps; at inference (step None) each window's
+        rows do not depend on the call history or on the other windows.
         """
         arr = np.asarray(windows, dtype=np.float64)
         if arr.ndim == 2:
@@ -273,12 +267,12 @@ class Model:
                 f"({self.cfg.n_nodes}, {self.cfg.input_len})"
             )
         x = Tensor(arr.reshape(batch * n_nodes, length))
-        ctx = self._new_context(collect)
+        ctx = ForwardContext(step=step, collect=collect)
         residual = x
         forecast = None
         for stack in self.stacks:
             for block in stack:
-                out = block.forward(residual, batch, ctx)
+                out = block.forward(residual, ctx)
                 residual = ad.sub(residual, out.backcast)
                 forecast = out.forecast if forecast is None else ad.add(forecast, out.forecast)
         return forecast, residual, ctx

@@ -34,7 +34,6 @@ class ParamRegistry:
     """Creates and tracks every parameter of a model, keyed by unique name."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.params: dict[str, Parameter] = {}
 

@@ -106,7 +106,8 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
         for batch_idx, batch in enumerate(batcher.epoch_batches(epoch)):
             xs = np.stack([x for x, _ in batch])
             ys = np.concatenate([y for _, y in batch], axis=0)
-            forecast, residual, _ = model.forward_batch(xs)
+            # the step count seeds this step's graph key samples
+            forecast, residual, _ = model.forward_batch(xs, step=adam.step)
             loss = mse_loss(forecast, ys)
             if cfg.backcast_loss_weight > 0:
                 loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)),

@@ -146,22 +146,21 @@ def ref_message_round(h, query_rows, key_rows, weights, msg, gru1, gru2=None, ga
     return ref_gated_update(h, agg, gru1, gru2, gate)
 
 
-def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, batch, seed):
-    """Per-window loop over B windows of N stacked rows of ``h`` (plain arrays).
+def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, seed):
+    """Per-window loop over the windows of N stacked rows of ``h`` (plain arrays).
 
-    Same draws and selections as the package builder: one generator samples
-    every window's n keys in window order; the n queries whose attention over
-    the sample diverges most from uniform are kept, each with its n strongest
-    keys (ties toward the lowest index).  Returns (selected queries (B, n),
-    selected keys (B, n, n), softmax weights (B, n, n)).
+    Same draw and selections as the package builder: one sample of n keys,
+    drawn from ``seed``, serves every window; the n queries whose attention
+    over the sample diverges most from uniform are kept, each with its n
+    strongest keys (ties toward the lowest index).  Returns (selected queries
+    (B, n), selected keys (B, n, n), softmax weights (B, n, n)).
     """
     q, k = h @ wq, h @ wk
     scale = math.sqrt(h.shape[1])
-    rng = np.random.default_rng(seed)
+    sampled = np.random.default_rng(seed).choice(n_nodes, size=n, replace=False)
     sel_qs, sel_ks, weights = [], [], []
-    for b in range(batch):
+    for b in range(h.shape[0] // n_nodes):
         qb, kb = q[b * n_nodes : (b + 1) * n_nodes], k[b * n_nodes : (b + 1) * n_nodes]
-        sampled = rng.choice(n_nodes, size=n, replace=False)
         logits = qb @ kb[sampled].T / scale
         peak = logits.max(axis=1, keepdims=True)
         lse = peak[:, 0] + np.log(np.exp(logits - peak).sum(axis=1))
@@ -220,7 +219,7 @@ class WindowAdjacency(SparseAdjacency):
 def build_sparse_adjacency(h: Tensor, wq: Tensor, wk: Tensor, n: int, seed=0) -> WindowAdjacency:
     """One window's graph as a package batch of one, plus its N x N matrix."""
     n_nodes = h.shape[0]
-    graphs = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, 1, seed)
+    graphs = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, seed)
     sel_q, sel_keys = graphs.selected_queries[0], graphs.selected_keys[0]
     weights = ad.reshape(graphs.weights, (n, n))
     return WindowAdjacency(

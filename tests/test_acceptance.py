@@ -296,10 +296,10 @@ def test_criterion_5_kl_scoring():
     @criterion("5 KL scoring: uniform -> 0 (1e-12), two-key closed form (1e-10)")
     def _():
         keys = np.random.default_rng(3).uniform(-1, 1, (5, 4))
-        scores = query_importance(np.zeros((3, 4)), keys).values
+        scores = query_importance(np.zeros((3, 4)), keys)
         assert np.abs(scores).max() < 1e-12
         two_key = query_importance(np.array([[1.0]]),
-                                   np.array([[0.0], [math.log(3.0)]])).values[0]
+                                   np.array([[0.0], [math.log(3.0)]]))[0]
         assert abs(two_key - 0.5 * math.log(4.0 / 3.0)) < 1e-10
         print(f"  closed form score {two_key:.12f}")
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hgmts.cli import main
-from hgmts.data import SplitSpec
-from hgmts.experiments import REPORT_HEADER, grid_run
-from hgmts.latent_graph import c_for_gamma, sample_count
-from hgmts.model import ModelConfig
+from hgmts.data import SplitSpec, load_csv
+from hgmts.experiments import REPORT_HEADER, grid_run, prepare_windows
+from hgmts.latent_graph import c_for_gamma, dump_edges, sample_count
+from hgmts.model import ModelConfig, load_model
 from hgmts.synthetic import generate_coupled, write_csv
 from hgmts.training import TrainConfig
 
@@ -89,6 +89,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def checkpoint_test_split(workdir):
+    """The trained checkpoint and the test windows the CLI commands read."""
+    model, _ = load_model(workdir / "out" / "model.ckpt")
+    prepared = prepare_windows(load_csv(workdir / "series.csv"), SplitSpec(0.7, 0.1, 0.2),
+                               model.cfg.input_len, model.cfg.horizon)
+    return model, prepared.test
+
+
 class TestCli:
     def test_train_writes_checkpoint_history_and_report(self, workdir, capsys):
         code = main(["train", "--config", "run.cfg", "--out", "out"])
@@ -145,6 +153,15 @@ class TestCli:
         coupling = np.loadtxt(workdir / "out" / "gen_coupling.csv", delimiter=",")
         assert coupling.shape == (5, 5)
 
+    def test_synth_gen_flags_win_over_config_keys(self, workdir):
+        (workdir / "synth.cfg").write_text("synth_n = 6\nsynth_length = 80\nsynth_seed = 4\n")
+        assert main(["synth-gen", "--config", "synth.cfg", "--out", "out", "--length", "60"]) == 0
+        assert np.loadtxt(workdir / "out" / "synthetic_coupling.csv", delimiter=",").shape == (6, 6)
+        lines = (workdir / "out" / "synthetic.csv").read_text().splitlines()
+        assert len(lines) == 1 + 60
+        ds, _ = generate_coupled(n_series=6, length=60, seed=4, noise_std=0.3)  # CLI default noise
+        assert lines[-1].split(",")[1:] == [repr(float(v)) for v in ds.values[-1]]
+
     def test_inspect_graph_dumps_triples(self, workdir):
         assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
         code = main(["inspect-graph", "--checkpoint", "out/model.ckpt",
@@ -156,6 +173,33 @@ class TestCli:
         stack, block, pathway, i, j, w = lines[1].split(",")
         assert pathway in ("seas", "trend", "main")
         assert 0.0 < float(w) <= 1.0
+
+    def test_inspect_graph_matches_the_window_inside_its_split_batch(self, workdir):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        model, test = checkpoint_test_split(workdir)
+        _, _, ctx = model.forward_batch(np.stack([x for x, _ in test]), collect=True)
+        for w in range(0, len(test), 3):
+            assert main(["inspect-graph", "--checkpoint", "out/model.ckpt", "--data",
+                         "series.csv", "--out", "out", "--window", str(w)]) == 0
+            expected = [f"{s},{b},{p},{i},{j},{weight!r}"
+                        for s, b, p, window, adj in ctx.graph_records
+                        if window == w for i, j, weight in dump_edges(adj)]
+            assert (workdir / "out" / "graph.csv").read_text().splitlines()[1:] == expected
+
+    def test_dump_predictions_match_the_batched_forecasts(self, workdir):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--data", "series.csv",
+                     "--out", "out", "--dump-predictions", "preds.csv"]) == 0
+        model, test = checkpoint_test_split(workdir)
+        forecast, _, _ = model.forward_batch(np.stack([x for x, _ in test]))
+        preds = forecast.values.reshape(len(test), model.cfg.n_nodes, model.cfg.horizon)
+        rows = (workdir / "out" / "preds.csv").read_text().splitlines()[1:]
+        assert len(rows) == preds.size
+        for row in rows:
+            window, node, step, y_true, y_pred = row.split(",")
+            at = int(window), int(node), int(step)
+            assert float(y_true) == test[at[0]][1][at[1:]]
+            assert float(y_pred) == preds[at]
 
     def test_env_var_output_dir(self, workdir, monkeypatch):
         monkeypatch.setenv("HGMTS_OUT_DIR", str(workdir / "envout"))

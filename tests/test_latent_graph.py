@@ -80,21 +80,21 @@ class TestQueryImportance:
         # zero queries give equal logits for every sampled key
         q = np.zeros((4, 3))
         keys = np.random.default_rng(0).uniform(-1, 1, (5, 3))
-        scores = query_importance(q, keys).values
+        scores = query_importance(q, keys)
         np.testing.assert_allclose(scores, 0.0, atol=1e-12)
 
     def test_closed_form_two_keys(self):
         # logits (0, ln 3) -> p = (1/4, 3/4); divergence from uniform = ln(4/3)/2
         q = np.array([[1.0]])
         keys = np.array([[0.0], [math.log(3.0)]])
-        score = query_importance(q, keys).values[0]
+        score = query_importance(q, keys)[0]
         np.testing.assert_allclose(score, 0.5 * math.log(4.0 / 3.0), atol=1e-10)
 
     def test_score_grows_with_concentration(self):
         rng = np.random.default_rng(3)
         q = rng.uniform(-1, 1, (1, 4))
         keys = rng.uniform(-1, 1, (6, 4))
-        scores = [query_importance(q * s, keys).values[0] for s in (1.0, 4.0, 16.0)]
+        scores = [query_importance(q * s, keys)[0] for s in (1.0, 4.0, 16.0)]
         assert scores[0] < scores[1] < scores[2]
 
     def test_shift_invariance_per_query(self):
@@ -103,8 +103,8 @@ class TestQueryImportance:
         q = rng.uniform(-1, 1, (5, 3))
         keys = rng.uniform(-1, 1, (4, 3))
         v = rng.uniform(-2, 2, 3)
-        base = query_importance(q, keys).values
-        shifted = query_importance(q, keys + v).values
+        base = query_importance(q, keys)
+        shifted = query_importance(q, keys + v)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_empty_sample_rejected(self):
@@ -242,8 +242,8 @@ class TestSparseAdjacency:
         seed = np.random.SeedSequence([1, 2, 3])
         for n in (2, n_nodes):  # the numpy oracle also covers a proper subset
             ref_q, ref_k, ref_w = ref_sparse_adjacency_batch(
-                h.values, wq.values, wk.values, n_nodes, n, batch, seed)
-            batched = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, batch, seed)
+                h.values, wq.values, wk.values, n_nodes, n, seed)
+            batched = build_sparse_adjacency_batch(h, wq, wk, n_nodes, n, seed)
             assert batched.weights.shape == (batch, n, n)
             np.testing.assert_array_equal(batched.selected_queries, ref_q)
             np.testing.assert_array_equal(batched.selected_keys, ref_k)

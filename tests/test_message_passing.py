@@ -322,7 +322,7 @@ class TestRunMessagePassing:
         h = unit.encode_nodes(x)
         adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, sample_count(1.0, 1))
         np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
-        graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 1, 0)
+        graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 0)
 
         out = unit.run(h, graph, 1).values
         h0 = unit.encode_nodes(x).values
@@ -405,7 +405,7 @@ class TestRunMessagePassing:
 
         def loss():
             h = unit.encode_nodes(x)
-            graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 1, 5)
+            graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 5)
             return ad.sum(ad.mul(unit.run(h, graph, 3), Tensor(probe)))
 
         leaves = [x] + [p.tensor for p in reg.params.values()]

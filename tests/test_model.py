@@ -1,6 +1,7 @@
 """Block/stack/model wiring, residual chaining, and the six variants."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.checkpoint import save_checkpoint
 from hgmts.model import BlockOutput, ForwardContext, ModelConfig, build_variant, load_model
+from hgmts.training import evaluate
 
 TINY = dict(n_nodes=3, input_len=8, horizon=4, embed_dim=4, kernel=3, rounds=3,
             stacks=1, blocks_per_stack=1, gamma=1.0)
@@ -142,10 +144,10 @@ class TestModelForward:
         a = tiny_model(seed=5)
         b = tiny_model(seed=5)
         whole = a.forward(x)
-        ctx = ForwardContext(seed=b.cfg.seed)
+        ctx = ForwardContext()
         residual, stack_fc = Tensor(x), None
         for block in b.stacks[0]:
-            out = block.forward(residual, 1, ctx)
+            out = block.forward(residual, ctx)
             residual = ad.sub(residual, out.backcast)
             stack_fc = out.forecast if stack_fc is None else ad.add(stack_fc, out.forecast)
         np.testing.assert_allclose(whole.values, stack_fc.values, atol=1e-12)
@@ -252,8 +254,8 @@ class TestVariants:
         for variant in ("hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6"):
             model = tiny_model(variant, stacks=3)
             _, _, ctx = model.forward_batch(rand_window(model.cfg))
-            builds[variant] = ctx.graph_builds
-            assert ctx.graph_builds == model.graph_builds_per_window()
+            builds[variant] = len(ctx.graphs)
+            assert len(ctx.graphs) == model.graph_builds_per_window()
         assert builds["hgmts2"] < builds["hgmts1"]
         assert builds["hgmts3"] < builds["hgmts1"]
         assert builds["hgmts4"] == 0
@@ -324,3 +326,107 @@ class TestPersistence:
         save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
         with pytest.raises(ContractError, match="blocks_per_stak"):
             load_model(path)
+
+
+# Stacks of two blocks, so the sharing variants reuse graphs across blocks and stacks;
+# N=8 at gamma 0.4 samples 3 of the 8 keys, so a different sample shows.
+PURE = dict(n_nodes=8, input_len=16, horizon=4, embed_dim=8, kernel=5, rounds=2,
+            stacks=2, blocks_per_stack=2, gamma=0.4)
+
+
+def pure_model(variant, **overrides):
+    return build_variant(ModelConfig(**{**PURE, **overrides, "variant": variant, "seed": 3}))
+
+
+def rand_windows(cfg, count, seed=0):
+    return np.random.default_rng(seed).uniform(-1, 1, (count, cfg.n_nodes, cfg.input_len))
+
+
+def forecast_of(model, xs):
+    """Forecast rows of a batch, one (N, K) array per window."""
+    forecast, _, _ = model.forward_batch(xs)
+    return forecast.values.reshape(len(xs), model.cfg.n_nodes, model.cfg.horizon)
+
+
+class TestStatelessForward:
+    """At inference a window's forecast is a function of the parameters and that
+    window alone: not of the call history, the batch or a reload."""
+
+    def assert_batch_independent(self, model, xs, orders):
+        singles = [model.forward(x).values for x in xs]
+        for order in orders:
+            rows = forecast_of(model, xs[order])
+            for row, i in zip(rows, order):
+                np.testing.assert_array_equal(row, singles[i])
+
+    @pytest.mark.parametrize("variant", sorted(SHARING))
+    def test_any_subset_or_permutation_matches_single_windows(self, variant):
+        model = pure_model(variant)
+        jitter_params(model.registry, seed=1)
+        xs = rand_windows(model.cfg, 6)
+        # the whole batch twice: two calls on the same windows agree
+        orders = [np.arange(6), np.arange(6), np.arange(6)[::-1],
+                  np.random.default_rng(2).permutation(6), np.array([4, 1, 3]), np.array([5])]
+        self.assert_batch_independent(model, xs, orders)
+
+    def test_batch_independent_at_wide_graph(self):
+        """N=321 at c=2 (n=11 keys of 321) and batch 8, the train-wide shape."""
+        model = build_variant(ModelConfig(n_nodes=321, input_len=48, horizon=24, embed_dim=32,
+                                          kernel=25, stacks=3, rounds=3, sampling_c=2.0, seed=1))
+        xs = rand_windows(model.cfg, 8, seed=4)
+        self.assert_batch_independent(model, xs, [np.arange(8), np.array([6, 0, 3])])
+
+    def test_forward_leaves_model_attributes_unchanged(self):
+        model = pure_model("hgmts1")
+        before = dict(vars(model))
+        values = model.registry.named_values()
+        model.forward_batch(rand_windows(model.cfg, 3), collect=True)
+        model.forward(rand_windows(model.cfg, 1)[0])
+        assert vars(model) == before
+        for name, p in model.registry.params.items():
+            assert p.values.tobytes() == values[name].tobytes()
+
+    def test_evaluate_after_reload_matches_in_memory(self, tmp_path):
+        model = pure_model("hgmts1")
+        jitter_params(model.registry, seed=5)
+        pairs = [(x, np.zeros((8, 4))) for x in rand_windows(model.cfg, 40, seed=6)]
+        for x, _ in pairs[:7]:  # history the reloaded model does not have
+            model.forward(x)
+        model.forward_batch(rand_windows(model.cfg, 5, seed=7))
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        loaded, _ = load_model(path)
+        assert evaluate(loaded, pairs) == evaluate(model, pairs)
+        assert evaluate(loaded, pairs, batch_size=7) == evaluate(model, pairs)
+
+    def test_two_threads_get_the_serial_results(self):
+        model = pure_model("hgmts1")
+        jitter_params(model.registry, seed=8)
+        batches = [rand_windows(model.cfg, 5, seed=9), rand_windows(model.cfg, 3, seed=10)]
+        serial = [forecast_of(model, xs) for xs in batches]
+        start = threading.Barrier(2)
+        results: dict = {}
+
+        def work(i):
+            start.wait()
+            results[i] = [forecast_of(model, batches[i]) for _ in range(5)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for i, expected in enumerate(serial):
+            for got in results[i]:
+                np.testing.assert_array_equal(got, expected)
+
+    def test_training_step_changes_the_key_sample(self):
+        """Training passes its step count, so its key samples still vary per step."""
+        model = pure_model("hgmts1", n_nodes=40, gamma=None, sampling_c=1.0)
+        xs = rand_windows(model.cfg, 2)
+        selected = {model.forward_batch(xs, collect=True, step=step)[2].graph_records[0][-1]
+                    .selected_queries.tobytes() for step in (None, 0, 1, 2, 3)}
+        assert len(selected) > 1
+        again = model.forward_batch(xs, step=2)[0].values
+        np.testing.assert_array_equal(again, model.forward_batch(xs, step=2)[0].values)

@@ -6,6 +6,11 @@ scalar walks the recorded graph once in reverse topological order.  The graph
 (the "tape") is rebuilt from scratch on every forward pass, so ordinary Python
 control flow in model code needs no special handling.
 
+Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
+shape or a tensor and a scalar on the right; anything else raises
+:class:`ShapeMismatch`.  :func:`gather` is the one indexing op, with indices
+distinct along the gathered axis, so its backward is a plain write.
+
 Tensors are value-like and never mutate their inputs; a graph built on one
 thread should be differentiated on that thread.  Everything is float64: at
 desk scale, gradient checking and bitwise reproducibility matter more than
@@ -52,41 +57,10 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def ndim(self):
-        return self.values.ndim
-
-    @property
-    def size(self):
-        return self.values.size
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ContractError(f"item() requires a single element, got shape {self.shape}")
         return float(self.values.reshape(()))
-
-    # operator sugar; scalars are folded in without creating constant nodes
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -141,72 +115,37 @@ def backward(loss: Tensor) -> None:
                 pending[key] = pg
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    g = np.asarray(g)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        out = a.values + b.values
-        if a.values.shape == b.values.shape:
-            return Tensor(out, (a, b), lambda g: (g, g))
-
-        def grad_fn(g):
-            return (_unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape))
-
-        return Tensor(out, (a, b), grad_fn)
-    if isinstance(a, Tensor):
-        return Tensor(a.values + b, (a,), lambda g: (_unbroadcast(g, a.values.shape),))
-    return Tensor(a + b.values, (b,), lambda g: (_unbroadcast(g, b.values.shape),))
+def _pair(op: str, a, b) -> bool:
+    """True for two tensors of one shape, False for a tensor and a scalar on the right."""
+    tensors = isinstance(b, Tensor)
+    if not isinstance(a, Tensor) or (a.shape != b.shape if tensors else np.ndim(b) != 0):
+        shapes = [x.shape if isinstance(x, Tensor) else np.shape(x) for x in (a, b)]
+        raise ShapeMismatch(f"{op} takes two tensors of one shape or a tensor and a scalar "
+                            f"on the right, got shapes {shapes[0]} and {shapes[1]}")
+    return tensors
 
 
-def sub(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        out = a.values - b.values
-        if a.values.shape == b.values.shape:
-            return Tensor(out, (a, b), lambda g: (g, -g))
-
-        def grad_fn(g):
-            return (_unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape))
-
-        return Tensor(out, (a, b), grad_fn)
-    if isinstance(a, Tensor):
-        return Tensor(a.values - b, (a,), lambda g: (_unbroadcast(g, a.values.shape),))
-    return Tensor(a - b.values, (b,), lambda g: (_unbroadcast(-g, b.values.shape),))
+def add(a: Tensor, b) -> Tensor:
+    if _pair("add", a, b):
+        return Tensor(a.values + b.values, (a, b), lambda g: (g, g))
+    return Tensor(a.values + b, (a,), lambda g: (g,))
 
 
-def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        out = a.values * b.values
-        if a.values.shape == b.values.shape:
-            return Tensor(out, (a, b), lambda g: (g * b.values, g * a.values))
-
-        def grad_fn(g):
-            return (
-                _unbroadcast(g * b.values, a.values.shape),
-                _unbroadcast(g * a.values, b.values.shape),
-            )
-
-        return Tensor(out, (a, b), grad_fn)
-    if isinstance(a, Tensor):
-        return Tensor(a.values * b, (a,), lambda g: (_unbroadcast(g * b, a.values.shape),))
-    return Tensor(a * b.values, (b,), lambda g: (_unbroadcast(g * a, b.values.shape),))
+def sub(a: Tensor, b) -> Tensor:
+    if _pair("sub", a, b):
+        return Tensor(a.values - b.values, (a, b), lambda g: (g, -g))
+    return Tensor(a.values - b, (a,), lambda g: (g,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.values, (a,), lambda g: (-g,))
+def mul(a: Tensor, b) -> Tensor:
+    if _pair("mul", a, b):
+        return Tensor(a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
+    return Tensor(a.values * b, (a,), lambda g: (g * b,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -344,41 +283,17 @@ def softmax_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows (first axis) of ``a`` by a 1-D index array.
+def gather(a: Tensor, indices, axis: int) -> Tensor:
+    """``np.take_along_axis(a, indices, axis)``; indices broadcast over the other axes.
 
-    Repeated indices accumulate on backward: a stable sort groups each
-    target's gradient rows in index order and one ``np.add.reduceat`` sums
-    every group.  numpy adds a group's first row to the sum of the rest, so
-    the result can differ from strict front-to-back accumulation in the last
-    bit, but it is the same on every call.
+    Indices must be distinct along ``axis``, so backward is a plain write.
     """
     idx = np.asarray(indices, dtype=np.intp)
-    out = a.values[idx]
+    out = np.take_along_axis(a.values, idx, axis=axis)
 
     def grad_fn(g):
         gx = np.zeros_like(a.values)
-        if idx.size:
-            order = np.argsort(idx, kind="stable")
-            ordered = idx[order]
-            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-            gx[ordered[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        return (gx,)
-
-    return Tensor(out, (a,), grad_fn)
-
-
-def gather_last(a: Tensor, indices) -> Tensor:
-    """out[..., j] = a[..., indices[..., j]] along the last axis.
-
-    Indices must be distinct within each row, so backward is a plain write.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    out = np.take_along_axis(a.values, idx, axis=-1)
-
-    def grad_fn(g):
-        gx = np.zeros_like(a.values)
-        np.put_along_axis(gx, idx, g, axis=-1)
+        np.put_along_axis(gx, idx, g, axis=axis)
         return (gx,)
 
     return Tensor(out, (a,), grad_fn)

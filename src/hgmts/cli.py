@@ -13,10 +13,10 @@ from .autodiff import ContractError, NumericError, ShapeMismatch
 from .config import RunSpec, load_run_spec
 from .data import SplitSpec, load_csv, manifest
 from .experiments import EvalReport, grid_run, prepare_windows, run_one
-from .latent_graph import c_for_gamma, dump_edges, sample_count
+from .latent_graph import dump_edges, gamma_count
 from .model import VARIANT_IDS, load_model
 from .synthetic import generate_coupled, write_csv
-from .training import TrainingDiverged, evaluate
+from .training import TrainingDiverged, evaluate, forecasts
 
 OUT_DIR_ENV = "HGMTS_OUT_DIR"
 
@@ -84,7 +84,8 @@ def cmd_train(args) -> int:
     if spec.raw_space:
         row["mse"], row["mae"] = evaluate(model, prepared.test, prepared.stats, raw_space=True)
     ckpt = out / "model.ckpt"
-    model.save(ckpt, run_info={"dataset": spec.dataset or "synthetic",
+    model.save(ckpt, run_info={"dataset": args.data or spec.dataset,
+                               "synth": dict(spec.synth),
                                "name": ds.name,
                                "split": [spec.split.train, spec.split.val, spec.split.test],
                                "train": vars(train_cfg).copy()})
@@ -99,15 +100,17 @@ def cmd_train(args) -> int:
 
 def _checkpoint_windows(args):
     """The checkpoint's model, the run spec and the prepared windows, from the
-    dataset and split recorded in the checkpoint unless a config or --data
-    overrides them."""
+    data (file, or synthetic settings) and split that train read, unless a
+    config or --data overrides them."""
     model, run_info = load_model(args.checkpoint)
     config = getattr(args, "config", None)
     spec = load_run_spec(config, _overrides(args)) if config else RunSpec()
     if not spec.dataset and run_info.get("dataset"):
         spec.dataset = run_info["dataset"]
-    if run_info.get("split") and config is None:
-        spec.split = SplitSpec(*run_info["split"])
+    if config is None:
+        spec.synth = run_info.get("synth", {})
+        if run_info.get("split"):
+            spec.split = SplitSpec(*run_info["split"])
     ds = _load_dataset(spec, args.data)
     if ds.n_series != model.cfg.n_nodes:
         raise ContractError(
@@ -146,8 +149,7 @@ def _dump_predictions(model, windows, path) -> None:
     n = model.cfg.n_nodes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window,node,step,y_true,y_pred\n")
-        for wi, (x, y) in enumerate(windows):
-            pred = model.forward(x).values
+        for wi, ((_, y), pred) in enumerate(zip(windows, forecasts(model, windows))):
             for node in range(n):
                 for step in range(y.shape[1]):
                     fh.write(f"{wi},{node},{step},{float(y[node, step])!r},"
@@ -173,7 +175,7 @@ def cmd_grid(args) -> int:
     if field == "gamma":
         print(report.table())
         for gamma in values:
-            print(f"gamma={gamma}: n={sample_count(c_for_gamma(gamma, ds.n_series), ds.n_series)}")
+            print(f"gamma={gamma}: n={gamma_count(gamma, ds.n_series)}")
     else:
         print(report.averaged().table())
     print(f"report: {out / f'{stem}.csv'}")

@@ -30,12 +30,9 @@ def sample_count(c: float, n_nodes: int) -> int:
     return max(1, min(n_nodes, raw))
 
 
-def c_for_gamma(gamma: float, n_nodes: int) -> float:
-    """Sampling factor whose floor(c * ln N) hits round(gamma * N), clamped to [1, N]."""
-    n = max(1, min(n_nodes, round(gamma * n_nodes)))
-    if n_nodes <= 1:
-        return 1.0
-    return (n + 0.5) / math.log(n_nodes)  # +0.5 keeps the floor off an exact boundary
+def gamma_count(gamma: float, n_nodes: int) -> int:
+    """n = round(gamma * N), clamped to [1, N]: the selection size of sparsity ratio gamma."""
+    return max(1, min(n_nodes, round(gamma * n_nodes)))
 
 
 @dataclass
@@ -144,12 +141,11 @@ def build_sparse_adjacency_batch(
     qv = q.values.reshape(batch, n_nodes, dim)
     sel_q = select_queries(query_importance(qv, kv[:, sampled]), n)
 
-    offsets = n_nodes * np.arange(batch)[:, None]
-    q_sel = ad.reshape(ad.take_rows(q, (sel_q + offsets).reshape(-1)), (batch, n, dim))
+    q_sel = ad.gather(ad.reshape(q, (batch, n_nodes, dim)), sel_q[..., None], axis=1)
     k_t = ad.transpose(ad.reshape(k, (batch, n_nodes, dim)))
     logits = ad.mul(ad.matmul(q_sel, k_t), 1.0 / math.sqrt(dim))  # (B, n, N)
     sel_keys = select_queries(logits.values, n)
-    weights = ad.softmax_rows(ad.gather_last(logits, sel_keys))
+    weights = ad.softmax_rows(ad.gather(logits, sel_keys, axis=-1))
     return GraphBatch(
         selected_queries=sel_q, selected_keys=sel_keys, weights=weights, num_nodes=n_nodes
     )

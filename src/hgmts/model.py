@@ -24,12 +24,7 @@ from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decomposition import decompose
-from .latent_graph import (
-    GraphBatch,
-    build_sparse_adjacency_batch,
-    c_for_gamma,
-    sample_count,
-)
+from .latent_graph import GraphBatch, build_sparse_adjacency_batch, gamma_count, sample_count
 from .message_passing import MessagePassingUnit
 from .nn import MLP2, Parameter, ParamRegistry
 
@@ -94,15 +89,11 @@ class ModelConfig:
     def hidden(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None else self.embed_dim
 
-    def resolved_c(self) -> float:
-        if self.gamma is not None:
-            return c_for_gamma(self.gamma, self.n_nodes)
-        if self.sampling_c is not None:
-            return self.sampling_c
-        return c_for_gamma(0.5, self.n_nodes)
-
     def selection_size(self) -> int:
-        return sample_count(self.resolved_c(), self.n_nodes)
+        """Queries kept per graph (and keys per query): from gamma, else c, else gamma 0.5."""
+        if self.gamma is None and self.sampling_c is not None:
+            return sample_count(self.sampling_c, self.n_nodes)
+        return gamma_count(0.5 if self.gamma is None else self.gamma, self.n_nodes)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -126,18 +117,8 @@ class BlockOutput:
 
 
 @dataclass
-class BlockRecord:
-    """Per-block detail kept when a forward pass runs with collect=True."""
-
-    stack: int
-    block: int
-    pathway_outputs: dict[str, tuple[Tensor, Tensor]]  # name -> (backcast, forecast)
-    output: BlockOutput
-
-
-@dataclass
 class ForwardContext:
-    """One pass's graphs and records; it dies with the pass, the model keeps nothing.
+    """One pass's graphs and graph records; it dies with the pass, the model keeps nothing.
 
     ``step`` is the training step (None at inference); with the model seed and
     the pathway's place it is all that seeds a graph's key sample.
@@ -147,7 +128,6 @@ class ForwardContext:
     collect: bool = False
     graphs: dict = field(default_factory=dict)  # graph key -> GraphBatch
     graph_records: list = field(default_factory=list)  # (stack, block, pathway, window, adj)
-    block_records: list = field(default_factory=list)
 
 
 class Pathway:
@@ -212,7 +192,6 @@ class Block:
             components = {"seas": dec.seasonal, "trend": dec.trend}
         backcast = None
         forecast = None
-        pieces: dict[str, tuple[Tensor, Tensor]] = {}
         for name, comp in components.items():
             pw = self.pathways[name]
             h = pw.unit.encode_nodes(comp)
@@ -223,15 +202,9 @@ class Block:
                 h = pw.unit.run(h, ctx.graphs[key], cfg.rounds)
             bc = pw.backcast_head(h)
             fc = pw.forecast_head(h)
-            pieces[name] = (bc, fc)
             backcast = bc if backcast is None else ad.add(backcast, bc)
             forecast = fc if forecast is None else ad.add(forecast, fc)
-        out = BlockOutput(backcast=backcast, forecast=forecast)
-        if ctx.collect:
-            ctx.block_records.append(
-                BlockRecord(self.stack_index, self.block_index, pieces, out)
-            )
-        return out
+        return BlockOutput(backcast=backcast, forecast=forecast)
 
 
 class Model:

@@ -75,13 +75,11 @@ class ParamRegistry:
 
 
 class Linear:
-    def __init__(self, reg: ParamRegistry, prefix: str, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, reg: ParamRegistry, prefix: str, d_in: int, d_out: int):
         self.w = reg.weight(f"{prefix}.w", d_in, d_out)
-        self.b = reg.bias(f"{prefix}.b", d_out) if bias else None
+        self.b = reg.bias(f"{prefix}.b", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.b is None:
-            return ad.matmul(x, self.w.tensor)
         return ad.affine(x, self.w.tensor, self.b.tensor)
 
 

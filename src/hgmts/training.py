@@ -82,6 +82,29 @@ class _Batcher:
             yield [self.windows[i] for i in order[lo : lo + self.batch_size]]
 
 
+def _train_step(model: Model, params: list, adam: AdamState, cfg: TrainConfig, batch: list,
+                where: str) -> float:
+    """One Adam step on ``batch``; returns its loss.  The step's tape dies on
+    return, so no two steps' tapes are alive at once."""
+    xs = np.stack([x for x, _ in batch])
+    ys = np.concatenate([y for _, y in batch], axis=0)
+    # the step count seeds this step's graph key samples
+    forecast, residual, _ = model.forward_batch(xs, step=adam.step)
+    loss = mse_loss(forecast, ys)
+    if cfg.backcast_loss_weight > 0:
+        loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)), cfg.backcast_loss_weight))
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite loss {value} at {where}; "
+                               f"parameter norm {model.registry.value_norm():.4g}")
+    ad.backward(loss)
+    for p in params:  # heads feeding only the unused final residual get zero grad
+        if p.tensor.grad is None:
+            p.tensor.grad = np.zeros_like(p.values)
+    adam_step(adam, params)
+    return value
+
+
 def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig) -> TrainResult:
     """Mini-batch Adam with the halving schedule; returns best-validation weights.
 
@@ -104,26 +127,8 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
         adam.lr = lr_schedule(epoch, cfg.lr0, cfg.halve_every)
         losses = []
         for batch_idx, batch in enumerate(batcher.epoch_batches(epoch)):
-            xs = np.stack([x for x, _ in batch])
-            ys = np.concatenate([y for _, y in batch], axis=0)
-            # the step count seeds this step's graph key samples
-            forecast, residual, _ = model.forward_batch(xs, step=adam.step)
-            loss = mse_loss(forecast, ys)
-            if cfg.backcast_loss_weight > 0:
-                loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)),
-                                           cfg.backcast_loss_weight))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}, batch {batch_idx}; "
-                    f"parameter norm {model.registry.value_norm():.4g}"
-                )
-            ad.backward(loss)
-            for p in params:  # heads feeding only the unused final residual get zero grad
-                if p.tensor.grad is None:
-                    p.tensor.grad = np.zeros_like(p.values)
-            adam_step(adam, params)
-            losses.append(value)
+            losses.append(_train_step(model, params, adam, cfg, batch,
+                                      f"epoch {epoch}, batch {batch_idx}"))
 
         val = evaluate(model, val_windows)[0] if val_windows else float(np.mean(losses))
         history.append(EpochStats(epoch=epoch, lr=adam.lr, train_loss=float(np.mean(losses)),
@@ -157,18 +162,19 @@ def evaluate(model: Model, eval_windows: list, stats: NormalizationStats | None 
         raise ContractError("evaluate requires at least one window")
     if raw_space and stats is None:
         raise ContractError("raw_space evaluation needs normalization stats")
-    n = model.cfg.n_nodes
     mses, maes = [], []
-    for lo in range(0, len(eval_windows), batch_size):
-        chunk = eval_windows[lo : lo + batch_size]
-        xs = np.stack([x for x, _ in chunk])
-        forecast, _, _ = model.forward_batch(xs)
-        preds = forecast.values
-        for wi, (_, y) in enumerate(chunk):
-            pred = preds[wi * n : (wi + 1) * n]
-            if raw_space:
-                pred = denormalize(pred, stats)
-                y = denormalize(y, stats)
-            mses.append(mse(y, pred))
-            maes.append(mae(y, pred))
+    for (_, y), pred in zip(eval_windows, forecasts(model, eval_windows, batch_size)):
+        if raw_space:
+            pred = denormalize(pred, stats)
+            y = denormalize(y, stats)
+        mses.append(mse(y, pred))
+        maes.append(mae(y, pred))
     return float(np.mean(mses)), float(np.mean(maes))
+
+
+def forecasts(model: Model, windows: list, batch_size: int = 32):
+    """Each (x, y) window's (N, K) forecast, from one batched forward pass per
+    ``batch_size`` windows; each pass's tape dies before the next one starts."""
+    for lo in range(0, len(windows), batch_size):
+        xs = np.stack([x for x, _ in windows[lo : lo + batch_size]])
+        yield from model.forward_batch(xs)[0].values.reshape(len(xs), model.cfg.n_nodes, -1)

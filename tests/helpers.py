@@ -14,7 +14,9 @@ import numpy as np
 
 from hgmts import autodiff as ad
 from hgmts.autodiff import Tensor
+from hgmts.decomposition import decompose
 from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, project_qk, select_queries
+from hgmts.model import ForwardContext
 
 
 def rel_err(a: float, b: float) -> float:
@@ -237,3 +239,39 @@ def select_keys(q_selected, k) -> np.ndarray:
     n_q largest scaled logits per row, through ``select_queries``."""
     qv, kv = np.asarray(q_selected), np.asarray(k)
     return select_queries(qv @ kv.T / math.sqrt(qv.shape[1]), qv.shape[0])
+
+
+def block_outputs(model, windows) -> list:
+    """Every block's BlockOutput, from ``Block.forward`` chained by hand the way
+    ``Model.forward_batch`` chains it (backcasts subtracted in block order)."""
+    arr = np.asarray(windows, dtype=np.float64)
+    residual = Tensor(arr.reshape(-1, arr.shape[-1]))
+    ctx = ForwardContext()
+    outs = []
+    for stack in model.stacks:
+        for block in stack:
+            outs.append(block.forward(residual, ctx))
+            residual = ad.sub(residual, outs[-1].backcast)
+    return outs
+
+
+def pathway_outputs(block, x: Tensor) -> dict:
+    """name -> (backcast, forecast) of each pathway of ``block`` on rows ``x``,
+    recomposed step by step as ``Block.forward`` runs them before it sums them."""
+    ctx = ForwardContext()
+    cfg = block.cfg
+    if block.wiring.single_pathway:
+        components = {"main": x}
+    else:
+        dec = decompose(x, cfg.kernel, cfg.padding)
+        components = {"seas": dec.seasonal, "trend": dec.trend}
+    out = {}
+    for name, comp in components.items():
+        pw = block.pathways[name]
+        h = pw.unit.encode_nodes(comp)
+        if pw.graph_key is not None:
+            if pw.graph_key not in ctx.graphs:
+                ctx.graphs[pw.graph_key] = block._build_graph(name, h, ctx)
+            h = pw.unit.run(h, ctx.graphs[pw.graph_key], cfg.rounds)
+        out[name] = (pw.backcast_head(h), pw.forecast_head(h))
+    return out

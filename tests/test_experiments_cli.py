@@ -8,7 +8,7 @@ import pytest
 from hgmts.cli import main
 from hgmts.data import SplitSpec, load_csv
 from hgmts.experiments import REPORT_HEADER, grid_run, prepare_windows
-from hgmts.latent_graph import c_for_gamma, dump_edges, sample_count
+from hgmts.latent_graph import dump_edges, gamma_count
 from hgmts.model import ModelConfig, load_model
 from hgmts.synthetic import generate_coupled, write_csv
 from hgmts.training import TrainConfig
@@ -33,7 +33,7 @@ class TestSweep:
         report = grid_run(small_ds, SplitSpec(0.7, 0.1, 0.2), "gamma", gammas, [4, 6],
                           fast_model_cfg(4), FAST_TRAIN)
         assert len(report.rows) == len(gammas) * 2
-        counts = [sample_count(c_for_gamma(g, 4), 4) for g in gammas]
+        counts = [gamma_count(g, 4) for g in gammas]
         assert counts == sorted(counts)
         assert counts[0] >= 1 and counts[-1] <= 4
 
@@ -129,6 +129,28 @@ class TestCli:
         lines = (workdir / "out" / "preds.csv").read_text().splitlines()
         assert lines[0] == "window,node,step,y_true,y_pred"
         assert len(lines) > 1
+
+    def test_eval_without_data_scores_the_file_train_read(self, workdir):
+        # the config names series.csv, but train read other.csv through --data
+        other, _ = generate_coupled(n_series=4, length=240, seed=9)
+        write_csv(other, workdir / "other.csv")
+        assert main(["train", "--config", "run.cfg", "--data", "other.csv", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        trained = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
+        scored = (workdir / "out" / "eval_test.csv").read_text().splitlines()[1].split(",")
+        assert scored[5:7] == trained[5:7]  # mse, mae
+
+    @pytest.mark.parametrize("synth", ["synth_seed = 3", "synth_n = 5"])
+    def test_eval_without_data_regenerates_the_synthetic_series_train_read(self, workdir, synth):
+        (workdir / "synth.cfg").write_text(
+            "dataset = synthetic\nsynth_length = 240\n" + synth + "\n"
+            "split = 0.7,0.1,0.2\nL = 8\nK = 4\nD = 4\nkernel = 3\nrounds = 1\n"
+            "stacks = 1\nseed = 0\nmax_epochs = 1\n")
+        assert main(["train", "--config", "synth.cfg", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        trained = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
+        scored = (workdir / "out" / "eval_test.csv").read_text().splitlines()[1].split(",")
+        assert scored[5:7] == trained[5:7]  # mse, mae
 
     def test_sweep_gamma_emits_six_rows_per_horizon(self, workdir):
         code = main(["sweep-gamma", "--config", "run.cfg", "--out", "out",

@@ -17,13 +17,14 @@ from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.latent_graph import (
     build_sparse_adjacency_batch,
-    c_for_gamma,
     dump_edges,
+    gamma_count,
     project_qk,
     query_importance,
     sample_count,
     select_queries,
 )
+from hgmts.model import ModelConfig
 
 
 def random_inputs(rng, n, d=4):
@@ -41,14 +42,15 @@ class TestSampleCount:
         assert sample_count(2.0, 1) == 1  # ln 1 = 0, clamped up
 
     def test_gamma_mapping_is_monotone_and_clamped(self):
-        counts = [sample_count(c_for_gamma(g, 8), 8) for g in np.linspace(0.0, 1.2, 25)]
+        counts = [gamma_count(g, 8) for g in np.linspace(0.0, 1.2, 25)]
         assert counts == sorted(counts)
         assert counts[0] == 1 and counts[-1] == 8
 
     def test_gamma_hits_rounded_fraction(self):
         for n_nodes in (4, 8, 16, 64):
             for gamma in (0.2, 0.3, 0.5, 0.7, 1.0):
-                n = sample_count(c_for_gamma(gamma, n_nodes), n_nodes)
+                n = ModelConfig(n_nodes=n_nodes, input_len=8, horizon=4,
+                                gamma=gamma).selection_size()
                 assert n == max(1, min(n_nodes, round(gamma * n_nodes)))
 
 

@@ -428,9 +428,9 @@ class TestRunMessagePassing:
                 frozen["idx"] = (adj.selected_queries, adj.selected_keys)
             sel_q, sel_keys = frozen["idx"]
             q, k = ad.matmul(h, wq.tensor), ad.matmul(h, wk.tensor)
-            logits = ad.mul(ad.matmul(ad.take_rows(q, sel_q), ad.transpose(k)),
+            logits = ad.mul(ad.matmul(ad.gather(q, sel_q[:, None], axis=0), ad.transpose(k)),
                             1.0 / np.sqrt(3))
-            weights = ad.softmax_rows(ad.gather_last(logits, sel_keys))
+            weights = ad.softmax_rows(ad.gather(logits, sel_keys, axis=-1))
             return GraphBatch(selected_queries=sel_q[None], selected_keys=sel_keys[None],
                               weights=ad.reshape(weights, (1, 2, 2)), num_nodes=3)
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import finite_diff_max_err, jitter_params
+from helpers import block_outputs, finite_diff_max_err, jitter_params, pathway_outputs
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.checkpoint import save_checkpoint
@@ -51,37 +51,36 @@ def zero_forecast_heads(model):
 class TestBlockForward:
     def test_paper_scale_shapes(self):
         model = tiny_model(n_nodes=7, input_len=96, horizon=192, embed_dim=8, kernel=25)
-        _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
-        out = ctx.block_records[0].output
+        out = block_outputs(model, rand_window(model.cfg))[0]
         assert out.backcast.shape == (7, 96)
         assert out.forecast.shape == (7, 192)
 
     def test_zeroed_forecast_heads_give_zero_forecast(self):
         model = tiny_model()
         zero_forecast_heads(model)
-        _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
-        out = ctx.block_records[0].output
+        out = block_outputs(model, rand_window(model.cfg))[0]
         np.testing.assert_array_equal(out.forecast.values, np.zeros((3, 4)))
 
     def test_single_pathway_variant_output_is_its_pathway_output(self):
         model = tiny_model("hgmts5")
         x = rand_window(model.cfg)
-        _, _, ctx = model.forward_batch(x, collect=True)
-        rec = ctx.block_records[0]
-        assert list(rec.pathway_outputs) == ["main"]
-        bc, fc = rec.pathway_outputs["main"]
-        np.testing.assert_array_equal(rec.output.backcast.values, bc.values)
-        np.testing.assert_array_equal(rec.output.forecast.values, fc.values)
+        out = block_outputs(model, x)[0]
+        pieces = pathway_outputs(model.stacks[0][0], Tensor(x))
+        assert list(pieces) == ["main"]
+        bc, fc = pieces["main"]
+        np.testing.assert_array_equal(out.backcast.values, bc.values)
+        np.testing.assert_array_equal(out.forecast.values, fc.values)
 
     def test_pathway_sum_identities(self):
         model = tiny_model()
-        _, _, ctx = model.forward_batch(rand_window(model.cfg), collect=True)
-        rec = ctx.block_records[0]
-        bc_seas, fc_seas = rec.pathway_outputs["seas"]
-        bc_trend, fc_trend = rec.pathway_outputs["trend"]
-        np.testing.assert_array_equal(rec.output.backcast.values,
+        x = rand_window(model.cfg)
+        out = block_outputs(model, x)[0]
+        pieces = pathway_outputs(model.stacks[0][0], Tensor(x))
+        bc_seas, fc_seas = pieces["seas"]
+        bc_trend, fc_trend = pieces["trend"]
+        np.testing.assert_array_equal(out.backcast.values,
                                       bc_seas.values + bc_trend.values)
-        np.testing.assert_array_equal(rec.output.forecast.values,
+        np.testing.assert_array_equal(out.forecast.values,
                                       fc_seas.values + fc_trend.values)
 
 
@@ -123,8 +122,8 @@ class TestStackForward:
     def test_two_real_blocks_forecast_sum(self):
         model = tiny_model(blocks_per_stack=2)
         x = rand_window(model.cfg)
-        forecast, _, ctx = model.forward_batch(x, collect=True)
-        total = sum(rec.output.forecast.values for rec in ctx.block_records)
+        forecast, _, _ = model.forward_batch(x)
+        total = sum(out.forecast.values for out in block_outputs(model, x))
         np.testing.assert_allclose(forecast.values, total, atol=1e-12)
 
     def test_empty_stack_rejected(self):
@@ -156,12 +155,12 @@ class TestModelForward:
         """The model output must equal the hand-chained per-block outputs."""
         model = tiny_model(stacks=3, seed=7)
         x = rand_window(model.cfg, seed=1)
-        forecast, residual, ctx = model.forward_batch(x, collect=True)
+        forecast, residual, _ = model.forward_batch(x)
         running = x.copy()
         total = np.zeros((3, 4))
-        for rec in ctx.block_records:
-            running = running - rec.output.backcast.values
-            total = total + rec.output.forecast.values
+        for out in block_outputs(model, x):
+            running = running - out.backcast.values
+            total = total + out.forecast.values
         np.testing.assert_allclose(forecast.values, total, atol=1e-12)
         np.testing.assert_allclose(residual.values, running, atol=1e-12)
 
@@ -169,8 +168,8 @@ class TestModelForward:
     def test_residual_telescoping(self, stacks):
         model = tiny_model(stacks=stacks, seed=stacks)
         x = rand_window(model.cfg, seed=stacks)
-        forecast, residual, ctx = model.forward_batch(x, collect=True)
-        backcast_sum = sum(rec.output.backcast.values for rec in ctx.block_records)
+        forecast, residual, _ = model.forward_batch(x)
+        backcast_sum = sum(out.backcast.values for out in block_outputs(model, x))
         np.testing.assert_allclose(backcast_sum + residual.values, x, atol=1e-10)
 
     def test_window_shape_mismatch_rejected(self):

@@ -1,5 +1,7 @@
 """Metrics, learning-rate schedule, and training-loop mechanics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from hgmts.autodiff import ContractError, ShapeMismatch
 from hgmts.data import SplitSpec
 from hgmts.experiments import EvalReport, prepare_windows
 from hgmts.metrics import mae, mse, mse_loss, persistence_forecast
-from hgmts.model import ModelConfig, build_variant
+from hgmts.model import Model, ModelConfig, build_variant
 from hgmts.synthetic import generate_coupled
 from hgmts.training import (
     TrainConfig,
@@ -156,6 +158,34 @@ class TestTrainLoop:
         norm_mse, _ = evaluate(model, prepared.test[:10])
         raw_mse, _ = evaluate(model, prepared.test[:10], prepared.stats, raw_space=True)
         assert raw_mse > 0 and norm_mse > 0 and raw_mse != norm_mse
+
+
+class TestTapeLifetime:
+    """A pass's tape is freed before the next forward pass starts, so two passes'
+    tapes never share the peak.  Tensors take no weak references (__slots__), so
+    the forecast's and the residual's gradient functions stand in for the tape."""
+
+    @pytest.mark.parametrize("call", ["train", "evaluate"])
+    def test_earlier_passes_are_dead_when_the_next_forward_starts(self, call, monkeypatch):
+        model, prepared = small_setup()
+        forward_batch = Model.forward_batch
+        earlier, alive_at_entry = [], []
+
+        def spy(self, *args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in earlier))
+            out = forward_batch(self, *args, **kwargs)
+            forecast, residual, ctx = out
+            earlier.extend(weakref.ref(obj) for obj in (forecast._grad_fn, residual._grad_fn, ctx))
+            return out
+
+        monkeypatch.setattr(Model, "forward_batch", spy)
+        if call == "train":  # per epoch: 3 steps, then one validation pass
+            train(model, prepared.train[:24], prepared.val[:16],
+                  TrainConfig(max_epochs=2, batch_size=8, seed=0))
+        else:
+            evaluate(model, prepared.test[:24], batch_size=8)
+        assert len(alive_at_entry) == (8 if call == "train" else 3)
+        assert alive_at_entry == [0] * len(alive_at_entry)
 
 
 class TestReportAveraging:

@@ -12,11 +12,11 @@ import numpy as np
 from .autodiff import ContractError, NumericError, ShapeMismatch
 from .config import RunSpec, load_run_spec
 from .data import SplitSpec, load_csv, manifest
-from .experiments import EvalReport, grid_run, prepare_windows, run_one
+from .experiments import EvalReport, grid_run, prepare_windows, report_row, run_one
 from .latent_graph import dump_edges, gamma_count
 from .model import VARIANT_IDS, load_model
 from .synthetic import generate_coupled, write_csv
-from .training import TrainingDiverged, evaluate, forecasts
+from .training import TrainingDiverged, forecasts, scores
 
 OUT_DIR_ENV = "HGMTS_OUT_DIR"
 
@@ -80,13 +80,15 @@ def cmd_train(args) -> int:
     train_cfg = spec.train_config(max_epochs=args.max_epochs, seed=args.seed)
     print(manifest(ds, spec.split))
     (out / "manifest.txt").write_text(manifest(ds, spec.split) + "\n")
-    row, model, result, prepared = run_one(ds, spec.split, model_cfg, train_cfg)
-    if spec.raw_space:
-        row["mse"], row["mae"] = evaluate(model, prepared.test, prepared.stats, raw_space=True)
+    prepared = prepare_windows(ds, spec.split, model_cfg.input_len, model_cfg.horizon)
+    row, model, result = run_one(prepared, model_cfg, train_cfg,
+                                 prepared.stats if spec.raw_space else None)
     ckpt = out / "model.ckpt"
     model.save(ckpt, run_info={"dataset": args.data or spec.dataset,
                                "synth": dict(spec.synth),
                                "name": ds.name,
+                               "forward_fill": spec.forward_fill,
+                               "raw_space": spec.raw_space,
                                "split": [spec.split.train, spec.split.val, spec.split.test],
                                "train": vars(train_cfg).copy()})
     (out / "history.csv").write_text(result.history_csv())
@@ -99,18 +101,30 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_windows(args):
-    """The checkpoint's model, the run spec and the prepared windows, from the
-    data (file, or synthetic settings) and split that train read, unless a
-    config or --data overrides them."""
+    """The checkpoint's model, the run spec and the prepared windows.  Without a
+    config the spec is the run train recorded: data (file or synthetic settings),
+    split, forward fill, units, and name unless --data names another file; a
+    --set pair wins over the record.  The batch size is the config's or --set's,
+    else the one train ran at."""
     model, run_info = load_model(args.checkpoint)
     config = getattr(args, "config", None)
-    spec = load_run_spec(config, _overrides(args)) if config else RunSpec()
+    overrides = _overrides(args)
+    spec = load_run_spec(config, overrides)
     if not spec.dataset and run_info.get("dataset"):
         spec.dataset = run_info["dataset"]
     if config is None:
-        spec.synth = run_info.get("synth", {})
+        spec.synth = {**run_info.get("synth", {}), **spec.synth}
+        recorded = {"forward_fill": run_info.get("forward_fill", False),
+                    "raw_space": run_info.get("raw_space", False)}
         if run_info.get("split"):
-            spec.split = SplitSpec(*run_info["split"])
+            recorded["split"] = SplitSpec(*run_info["split"])
+        if args.data is None:
+            recorded["name"] = run_info.get("name")
+        for key, value in recorded.items():
+            if key not in overrides:
+                setattr(spec, key, value)
+    if "batch_size" in run_info.get("train", {}):
+        spec.train_fields.setdefault("batch_size", run_info["train"]["batch_size"])
     ds = _load_dataset(spec, args.data)
     if ds.n_series != model.cfg.n_nodes:
         raise ContractError(
@@ -123,37 +137,30 @@ def _checkpoint_windows(args):
 def cmd_eval(args) -> int:
     model, spec, prepared = _checkpoint_windows(args)
     windows = getattr(prepared, args.split)
-    m, a = evaluate(model, windows, prepared.stats, raw_space=args.raw_space)
-    row = {
-        "dataset": prepared.name,
-        "variant": model.cfg.variant,
-        "gamma": model.cfg.gamma,
-        "horizon": model.cfg.horizon,
-        "seed": model.cfg.seed,
-        "mse": m,
-        "mae": a,
-        "epochs": 0,
-        "wall_s": 0.0,
-    }
-    report = EvalReport([row])
-    print(report.to_csv(), end="")
     out = _out_dir(args, spec)
+    preds = forecasts(model, windows, spec.train_config().batch_size)
+    if args.dump_predictions:
+        preds = _dump_predictions(windows, preds, out / args.dump_predictions)
+    m, a = scores(windows, preds, prepared.stats if args.raw_space or spec.raw_space else None)
+    report = EvalReport([report_row(model.cfg, prepared.name, m, a)])
+    print(report.to_csv(), end="")
     report.write(out / f"eval_{args.split}.csv")
     if args.dump_predictions:
-        _dump_predictions(model, windows, out / args.dump_predictions)
         print(f"predictions: {out / args.dump_predictions}")
     return 0
 
 
-def _dump_predictions(model, windows, path) -> None:
-    n = model.cfg.n_nodes
+def _dump_predictions(windows, preds, path):
+    """Pass each forecast through after writing its window's rows to ``path``,
+    so scoring and dumping share one pass and hold one batch at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window,node,step,y_true,y_pred\n")
-        for wi, ((_, y), pred) in enumerate(zip(windows, forecasts(model, windows))):
-            for node in range(n):
+        for wi, ((_, y), pred) in enumerate(zip(windows, preds)):
+            for node in range(y.shape[0]):
                 for step in range(y.shape[1]):
                     fh.write(f"{wi},{node},{step},{float(y[node, step])!r},"
                              f"{float(pred[node, step])!r}\n")
+            yield pred
 
 
 def cmd_grid(args) -> int:

@@ -93,29 +93,23 @@ def prepare_windows(ds: Dataset, spec: SplitSpec, input_len: int, horizon: int) 
     )
 
 
-def run_one(ds: Dataset, spec: SplitSpec, model_cfg: ModelConfig, train_cfg: TrainConfig,
-            prepared: PreparedData | None = None):
-    """Train one configuration and evaluate on the test split.
+def report_row(cfg: ModelConfig, dataset: str, mse: float, mae: float, epochs: int = 0,
+               wall_s: float = 0.0) -> dict:
+    """One report row: a model's settings and its scores on one split."""
+    return dict(zip(REPORT_FIELDS, (dataset, cfg.variant, cfg.gamma, cfg.horizon, cfg.seed,
+                                    mse, mae, epochs, wall_s)))
 
-    Returns (report row, model, result, prepared data).
-    """
-    if prepared is None:
-        prepared = prepare_windows(ds, spec, model_cfg.input_len, model_cfg.horizon)
+
+def run_one(prepared: PreparedData, model_cfg: ModelConfig, train_cfg: TrainConfig,
+            stats: NormalizationStats | None = None):
+    """Train one configuration and score it on the test split, at the run's
+    batch size, in raw units when ``stats`` is given; returns (row, model, result)."""
     model = build_variant(model_cfg)
     result = train(model, prepared.train, prepared.val, train_cfg)
-    test_mse, test_mae = evaluate(model, prepared.test)
-    row = {
-        "dataset": prepared.name,
-        "variant": model_cfg.variant,
-        "gamma": model_cfg.gamma,
-        "horizon": model_cfg.horizon,
-        "seed": model_cfg.seed,
-        "mse": test_mse,
-        "mae": test_mae,
-        "epochs": result.epochs_run,
-        "wall_s": result.wall_s,
-    }
-    return row, model, result, prepared
+    test_mse, test_mae = evaluate(model, prepared.test, stats, train_cfg.batch_size)
+    row = report_row(model_cfg, prepared.name, test_mse, test_mae, result.epochs_run,
+                     result.wall_s)
+    return row, model, result
 
 
 def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: list[int],
@@ -132,6 +126,5 @@ def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: l
     for horizon, cfgs in grid:
         prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)
         for cfg in cfgs:
-            row, _, _, _ = run_one(ds, spec, cfg, replace(train_cfg, seed=cfg.seed), prepared)
-            rows.append(row)
+            rows.append(run_one(prepared, cfg, replace(train_cfg, seed=cfg.seed))[0])
     return EvalReport(rows)

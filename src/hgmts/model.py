@@ -16,6 +16,7 @@ share a graph: pathways with equal keys use the graph the first of them built
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,6 +85,17 @@ class ModelConfig:
         if self.stacks < 1 or self.blocks_per_stack < 1:
             raise ContractError(f"need at least one stack of at least one block, got "
                                 f"stacks={self.stacks}, blocks_per_stack={self.blocks_per_stack}")
+        for name in ("n_nodes", "input_len", "horizon", "embed_dim", "hidden_dim"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ContractError(f"{name} must be >= 1, got {value}")
+        if self.rounds < 0:
+            raise ContractError(f"rounds must be >= 0, got {self.rounds}")
+        if self.gamma is not None and not 0 < self.gamma <= 1:
+            raise ContractError(f"gamma must be in (0, 1], got {self.gamma}")
+        if self.sampling_c is not None and not (math.isfinite(self.sampling_c)
+                                                and self.sampling_c > 0):
+            raise ContractError(f"sampling_c must be finite and > 0, got {self.sampling_c}")
 
     @property
     def hidden(self) -> int:

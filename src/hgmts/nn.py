@@ -61,6 +61,10 @@ class ParamRegistry:
         missing = set(self.params) - set(values)
         if missing:
             raise ContractError(f"missing values for parameters: {sorted(missing)[:3]}...")
+        unexpected = set(values) - set(self.params)
+        if unexpected:
+            raise ContractError(f"values for {len(unexpected)} parameters the model does not "
+                                f"have: {sorted(unexpected)[:3]}...")
         for name, p in self.params.items():
             arr = np.asarray(values[name], dtype=np.float64)
             if arr.shape != p.values.shape:

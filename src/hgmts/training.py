@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,8 +34,11 @@ class TrainConfig:
         for name in ("halve_every", "patience", "batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
-        if self.lr0 < 0:  # 0 freezes the model, useful for schedule diagnostics
-            raise ContractError("lr0 must be >= 0")
+        # lr0 = 0 freezes the model, useful for schedule diagnostics
+        for name in ("lr0", "backcast_loss_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractError(f"{name} must be finite and >= 0, got {value}")
 
 
 def lr_schedule(epoch: int, lr0: float = 1e-4, halve_every: int = 2) -> float:
@@ -130,9 +134,10 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
             losses.append(_train_step(model, params, adam, cfg, batch,
                                       f"epoch {epoch}, batch {batch_idx}"))
 
-        val = evaluate(model, val_windows)[0] if val_windows else float(np.mean(losses))
-        history.append(EpochStats(epoch=epoch, lr=adam.lr, train_loss=float(np.mean(losses)),
-                                  val_mse=val))
+        train_loss = float(np.mean(losses))
+        val = (evaluate(model, val_windows, batch_size=cfg.batch_size)[0] if val_windows
+               else train_loss)
+        history.append(EpochStats(epoch=epoch, lr=adam.lr, train_loss=train_loss, val_mse=val))
         if val < best_val:
             best_val = val
             best_epoch = epoch
@@ -156,15 +161,19 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
 
 
 def evaluate(model: Model, eval_windows: list, stats: NormalizationStats | None = None,
-             raw_space: bool = False, batch_size: int = 32) -> tuple[float, float]:
-    """Mean (MSE, MAE) over windows; optionally in de-normalized units."""
-    if not eval_windows:
-        raise ContractError("evaluate requires at least one window")
-    if raw_space and stats is None:
-        raise ContractError("raw_space evaluation needs normalization stats")
+             batch_size: int = 32) -> tuple[float, float]:
+    """Mean (MSE, MAE) over windows, in raw units when ``stats`` is given."""
+    return scores(eval_windows, forecasts(model, eval_windows, batch_size), stats)
+
+
+def scores(windows: list, preds, stats: NormalizationStats | None = None) -> tuple[float, float]:
+    """Mean (MSE, MAE) of each window's forecast against its target; both are
+    de-normalized first when ``stats`` is given."""
+    if not windows:
+        raise ContractError("scoring requires at least one window")
     mses, maes = [], []
-    for (_, y), pred in zip(eval_windows, forecasts(model, eval_windows, batch_size)):
-        if raw_space:
+    for (_, y), pred in zip(windows, preds, strict=True):
+        if stats is not None:
             pred = denormalize(pred, stats)
             y = denormalize(y, stats)
         mses.append(mse(y, pred))

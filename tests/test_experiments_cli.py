@@ -1,17 +1,19 @@
 """Sweeps, ablations, report files, and the command-line surface."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+import hgmts.cli
 from hgmts.cli import main
 from hgmts.data import SplitSpec, load_csv
 from hgmts.experiments import REPORT_HEADER, grid_run, prepare_windows
 from hgmts.latent_graph import dump_edges, gamma_count
-from hgmts.model import ModelConfig, load_model
+from hgmts.model import Model, ModelConfig, load_model
 from hgmts.synthetic import generate_coupled, write_csv
-from hgmts.training import TrainConfig
+from hgmts.training import TrainConfig, evaluate
 
 FAST_TRAIN = TrainConfig(max_epochs=1, seed=0)
 
@@ -70,6 +72,19 @@ class TestAblation:
         assert len(avg.rows) == 1
         np.testing.assert_allclose(avg.rows[0]["mse"],
                                    np.mean([r["mse"] for r in report.rows]))
+
+
+def spy_forward_batch(monkeypatch):
+    """The windows of every forward pass from here on, one array per call."""
+    forward_batch = Model.forward_batch
+    passes = []
+
+    def spy(self, windows, *args, **kwargs):
+        passes.append(np.asarray(windows))
+        return forward_batch(self, windows, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_batch", spy)
+    return passes
 
 
 @pytest.fixture()
@@ -140,7 +155,7 @@ class TestCli:
         scored = (workdir / "out" / "eval_test.csv").read_text().splitlines()[1].split(",")
         assert scored[5:7] == trained[5:7]  # mse, mae
 
-    @pytest.mark.parametrize("synth", ["synth_seed = 3", "synth_n = 5"])
+    @pytest.mark.parametrize("synth", ["synth_seed = 3", "synth_n = 5", "raw_space = true"])
     def test_eval_without_data_regenerates_the_synthetic_series_train_read(self, workdir, synth):
         (workdir / "synth.cfg").write_text(
             "dataset = synthetic\nsynth_length = 240\n" + synth + "\n"
@@ -151,6 +166,86 @@ class TestCli:
         trained = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
         scored = (workdir / "out" / "eval_test.csv").read_text().splitlines()[1].split(",")
         assert scored[5:7] == trained[5:7]  # mse, mae
+
+    def test_eval_without_config_restores_forward_fill_and_name(self, workdir):
+        # train reads s.csv, whose empty cell only forward_fill = true accepts
+        lines = (workdir / "series.csv").read_text().splitlines()
+        cells = lines[50].split(",")
+        lines[50] = ",".join([cells[0], "", *cells[2:]])
+        (workdir / "s.csv").write_text("\n".join(lines) + "\n")
+        (workdir / "ff.cfg").write_text(
+            (workdir / "run.cfg").read_text().replace("dataset = series.csv", "dataset = s.csv")
+            .replace("name = tiny", "name = mine") + "forward_fill = true\n")
+        assert main(["train", "--config", "ff.cfg", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        trained = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
+        scored = (workdir / "out" / "eval_test.csv").read_text().splitlines()[1].split(",")
+        assert scored[0] == trained[0] == "mine"
+        assert scored[5:7] == trained[5:7]  # mse, mae
+        assert main(["inspect-graph", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+
+    @pytest.mark.parametrize("flags, sizes", [
+        ([], [8, 8, 8, 8, 5]),
+        (["--set", "batch=5"], [5, 5, 5, 5, 5, 5, 5, 2]),
+        (["--config", "run.cfg"], [32, 5]),
+    ])
+    def test_eval_dump_predictions_forecasts_each_batch_once(
+            self, workdir, monkeypatch, flags, sizes):
+        # train records batch 8, so eval forecasts the 37 test windows in 5 passes,
+        # unless a config's or --set's batch says otherwise
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--set", "batch=8"]) == 0
+        passes = spy_forward_batch(monkeypatch)
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out",
+                     "--dump-predictions", "preds.csv", *flags]) == 0
+        assert [len(p) for p in passes] == sizes
+
+    def test_eval_holds_one_batch_of_forecasts_at_a_time(self, workdir, monkeypatch):
+        # at each pass's entry at most the previous batch's forecasts are alive,
+        # so eval's memory does not grow with the split, dump or no dump
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--set", "batch=8"]) == 0
+        forward_batch = Model.forward_batch
+        earlier, alive_at_entry = [], []
+
+        def spy(self, *args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in earlier))
+            out = forward_batch(self, *args, **kwargs)
+            earlier.append(weakref.ref(out[0].values))
+            return out
+
+        monkeypatch.setattr(Model, "forward_batch", spy)
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out",
+                     "--dump-predictions", "preds.csv"]) == 0
+        assert len(alive_at_entry) == 5
+        assert max(alive_at_entry) <= 1
+
+    def test_eval_set_scores_a_raw_space_run_normalized(self, workdir):
+        assert main(["train", "--config", "run.cfg", "--out", "out",
+                     "--set", "raw_space=true"]) == 0
+        rows = []
+        for flags in (["--set", "raw_space=false"], ["--config", "run.cfg"], []):
+            assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out", *flags]) == 0
+            rows.append((workdir / "out" / "eval_test.csv").read_text().splitlines()[1])
+        raw = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
+        assert rows[0] == rows[1]  # normalized, as a config without raw_space scores
+        assert rows[2].split(",")[5:7] == raw[5:7] != rows[0].split(",")[5:7]
+
+    def test_train_raw_space_scores_the_test_split_once(self, workdir, monkeypatch):
+        run_one, rows = hgmts.cli.run_one, []
+
+        def recording_run_one(*args, **kwargs):
+            rows.append(run_one(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr(hgmts.cli, "run_one", recording_run_one)
+        passes = spy_forward_batch(monkeypatch)
+        assert main(["train", "--config", "run.cfg", "--out", "out",
+                     "--set", "raw_space=true"]) == 0
+        model, _ = load_model(workdir / "out" / "model.ckpt")
+        prepared = prepare_windows(load_csv(workdir / "series.csv"), SplitSpec(0.7, 0.1, 0.2),
+                                   model.cfg.input_len, model.cfg.horizon)
+        assert sum(np.array_equal(p[0], prepared.test[0][0]) for p in passes) == 1
+        row = rows[0][0]
+        assert (row["mse"], row["mae"]) == evaluate(model, prepared.test, prepared.stats)
 
     def test_sweep_gamma_emits_six_rows_per_horizon(self, workdir):
         code = main(["sweep-gamma", "--config", "run.cfg", "--out", "out",

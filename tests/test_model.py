@@ -201,6 +201,17 @@ class TestVariants:
         with pytest.raises(ContractError, match=match):
             ModelConfig(**{**TINY, **bad})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_nodes", 0), ("input_len", 0), ("horizon", 0), ("embed_dim", 0), ("hidden_dim", 0),
+        ("rounds", -1), ("gamma", -1.0), ("gamma", 0.0), ("gamma", 3.0), ("gamma", float("nan")),
+        ("sampling_c", -2.0), ("sampling_c", 0.0), ("sampling_c", float("nan")),
+        ("sampling_c", float("inf")),
+    ])
+    def test_bad_model_values_rejected_at_construction(self, field, value):
+        # hgmts4 builds no graph, so rounds and the selection size are never read there
+        with pytest.raises(ContractError, match=field):
+            ModelConfig(**{**TINY, "variant": "hgmts4", "gamma": None, field: value})
+
     def test_graphless_variant_gives_identical_forecasts_for_identical_windows(self):
         model = tiny_model("hgmts4", n_nodes=2)
         row = np.random.default_rng(15).uniform(-1, 1, 8)
@@ -324,6 +335,16 @@ class TestPersistence:
         path = tmp_path / "typo.ckpt"
         save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
         with pytest.raises(ContractError, match="blocks_per_stak"):
+            load_model(path)
+
+    def test_checkpoint_with_extra_parameters_rejected(self, tmp_path):
+        """hgmts1's weights under an hgmts4 config must not load as hgmts4 with
+        the graph and message weights silently dropped."""
+        model = tiny_model("hgmts1", seed=36)
+        stored = {**model.cfg.to_dict(), "variant": "hgmts4"}
+        path = tmp_path / "mixed.ckpt"
+        save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
+        with pytest.raises(ContractError, match=r"does not have: \['stack0\.block0\.seas\."):
             load_model(path)
 
 

@@ -144,6 +144,32 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(model, [], prepared.val, TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr0", float("nan")), ("lr0", -1e-4), ("lr0", float("inf")),
+        ("backcast_loss_weight", -1.0), ("backcast_loss_weight", float("nan")),
+    ])
+    def test_bad_train_values_rejected_at_construction(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_frozen_learning_rate_allowed(self):
+        assert TrainConfig(lr0=0.0).lr0 == 0.0
+
+    def test_validation_runs_at_the_training_batch_size(self, monkeypatch):
+        model, prepared = small_setup()
+        forward_batch = Model.forward_batch
+        inference_passes = []
+
+        def spy(self, windows, *args, step=None, **kwargs):
+            if step is None:
+                inference_passes.append(len(windows))
+            return forward_batch(self, windows, *args, step=step, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", spy)
+        train(model, prepared.train[:16], prepared.val[:20],
+              TrainConfig(max_epochs=2, batch_size=8, seed=0))
+        assert inference_passes == [8, 8, 4] * 2
+
     def test_backcast_penalty_changes_training(self):
         a, prepared = small_setup(seed=5)
         b, _ = small_setup(seed=5)
@@ -156,7 +182,7 @@ class TestTrainLoop:
     def test_raw_space_evaluation_roundtrips_normalization(self):
         model, prepared = small_setup()
         norm_mse, _ = evaluate(model, prepared.test[:10])
-        raw_mse, _ = evaluate(model, prepared.test[:10], prepared.stats, raw_space=True)
+        raw_mse, _ = evaluate(model, prepared.test[:10], prepared.stats)
         assert raw_mse > 0 and norm_mse > 0 and raw_mse != norm_mse
 
 
@@ -179,12 +205,12 @@ class TestTapeLifetime:
             return out
 
         monkeypatch.setattr(Model, "forward_batch", spy)
-        if call == "train":  # per epoch: 3 steps, then one validation pass
+        if call == "train":  # per epoch: 3 steps, then two validation passes at batch 8
             train(model, prepared.train[:24], prepared.val[:16],
                   TrainConfig(max_epochs=2, batch_size=8, seed=0))
         else:
             evaluate(model, prepared.test[:24], batch_size=8)
-        assert len(alive_at_entry) == (8 if call == "train" else 3)
+        assert len(alive_at_entry) == (10 if call == "train" else 3)
         assert alive_at_entry == [0] * len(alive_at_entry)
 
 

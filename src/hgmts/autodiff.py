@@ -39,8 +39,9 @@ class ContractError(ValueError):
 class Tensor:
     """A node of the differentiation tape.
 
-    ``values`` is a float64 ndarray. ``grad`` has the same shape and is
-    allocated lazily on the first backward pass that reaches this node.
+    ``values`` is a float64 ndarray. On a leaf, ``grad`` has the same shape
+    and is set by the first backward pass that reaches it; op results keep
+    ``grad`` None.
     Leaves are built directly from data; op results carry a gradient
     function aligned with their parent tuple.
     """
@@ -87,12 +88,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` of every node reachable from ``loss``.
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf reachable from ``loss``.
 
-    Repeated calls without clearing grads add another full pass of gradients
-    (each call contributes exactly one d(loss)/d(node) per node).  Gradient
-    buffers are accumulated by reassignment and may share storage, so treat
-    ``.grad`` as read-only.
+    Op results keep ``.grad`` None: each intermediate gradient is dropped once
+    it has been pushed to its parents.  Repeated calls without clearing grads
+    add another full pass of gradients (each call contributes exactly one
+    d(loss)/d(leaf) per leaf).  Gradient buffers are accumulated by
+    reassignment and may share storage, so treat ``.grad`` as read-only.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -102,8 +104,8 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._grad_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None:

@@ -20,32 +20,43 @@ from .training import TrainingDiverged, forecasts, scores
 
 OUT_DIR_ENV = "HGMTS_OUT_DIR"
 
-# subcommand -> (ModelConfig field, list flag and config key, parser, default list, report stem)
+# subcommand -> (ModelConfig field, list flag and config key, default list, report stem)
 GRIDS = {
-    "sweep-gamma": ("gamma", "gammas", float, [0.2, 0.3, 0.4, 0.5, 0.6, 0.7], "sweep_gamma"),
-    "ablate": ("variant", "variants", str, list(VARIANT_IDS), "ablation"),
+    "sweep-gamma": ("gamma", "gammas", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7], "sweep_gamma"),
+    "ablate": ("variant", "variants", list(VARIANT_IDS), "ablation"),
 }
 
 
-def _out_dir(args, spec: RunSpec | None = None) -> Path:
-    path = getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV) \
-        or (spec.out_dir if spec else None) or "."
-    p = Path(path)
+class _SettingFlag(argparse.Action):
+    """A setting flag is its config key's --set pair: ``--horizon 24`` appends
+    ``K=24`` to the --set list, so flags and pairs apply in command-line order
+    and the last one wins."""
+
+    def __init__(self, option_strings, dest, key, const=None, **kwargs):
+        super().__init__(option_strings, "set", nargs=None if const is None else 0,
+                         const=const, **kwargs)
+        self.key = key
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        value = values if self.const is None else self.const
+        namespace.set = [*(namespace.set or []), f"{self.key}={value}"]
+
+
+def _out_dir(args, spec: RunSpec) -> Path:
+    p = Path(args.out or os.environ.get(OUT_DIR_ENV) or spec.out_dir or ".")
     p.mkdir(parents=True, exist_ok=True)
     return p
 
 
-def _synth_kwargs(spec: RunSpec, **flags) -> dict:
-    """``generate_coupled`` arguments from the config's synth_* keys; a flag that is
-    not None wins over its key."""
-    given = {"n": 8, "length": 2000, "seed": 0, "lag": 30, "noise": 0.3, **spec.synth,
-             **{k: v for k, v in flags.items() if v is not None}}
+def _synth_kwargs(spec: RunSpec) -> dict:
+    """``generate_coupled`` arguments from the run's synth_* keys."""
+    given = {"n": 8, "length": 2000, "seed": 0, "lag": 30, "noise": 0.3, **spec.synth}
     return dict(n_series=given["n"], length=given["length"], seed=given["seed"],
                 coupling_lag=given["lag"], noise_std=given["noise"])
 
 
-def _load_dataset(spec: RunSpec, path_override: str | None = None):
-    source = path_override or spec.dataset
+def _load_dataset(spec: RunSpec):
+    source = spec.dataset
     if source is None:
         raise ContractError("no dataset configured; set 'dataset' in the config or pass --data")
     if source == "synthetic":
@@ -58,7 +69,7 @@ def _load_dataset(spec: RunSpec, path_override: str | None = None):
 
 def _overrides(args) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ContractError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -68,23 +79,17 @@ def _overrides(args) -> dict[str, str]:
 
 def cmd_train(args) -> int:
     spec = load_run_spec(args.config, _overrides(args))
-    ds = _load_dataset(spec, args.data)
+    ds = _load_dataset(spec)
     out = _out_dir(args, spec)
-    model_cfg = spec.model_config(
-        ds.n_series,
-        horizon=args.horizon,
-        variant=args.variant,
-        gamma=args.gamma,
-        seed=args.seed,
-    )
-    train_cfg = spec.train_config(max_epochs=args.max_epochs, seed=args.seed)
+    model_cfg = spec.model_config(ds.n_series)
+    train_cfg = spec.train_config()
     print(manifest(ds, spec.split))
     (out / "manifest.txt").write_text(manifest(ds, spec.split) + "\n")
     prepared = prepare_windows(ds, spec.split, model_cfg.input_len, model_cfg.horizon)
     row, model, result = run_one(prepared, model_cfg, train_cfg,
                                  prepared.stats if spec.raw_space else None)
     ckpt = out / "model.ckpt"
-    model.save(ckpt, run_info={"dataset": args.data or spec.dataset,
+    model.save(ckpt, run_info={"dataset": spec.dataset,
                                "synth": dict(spec.synth),
                                "name": ds.name,
                                "forward_fill": spec.forward_fill,
@@ -103,9 +108,9 @@ def cmd_train(args) -> int:
 def _checkpoint_windows(args):
     """The checkpoint's model, the run spec and the prepared windows.  Without a
     config the spec is the run train recorded: data (file or synthetic settings),
-    split, forward fill, units, and name unless --data names another file; a
-    --set pair wins over the record.  The batch size is the config's or --set's,
-    else the one train ran at."""
+    split, forward fill, units, and name unless a dataset pair (--data) names
+    another file; a --set pair wins over the record.  The batch size is the
+    config's or --set's, else the one train ran at."""
     model, run_info = load_model(args.checkpoint)
     config = getattr(args, "config", None)
     overrides = _overrides(args)
@@ -118,14 +123,14 @@ def _checkpoint_windows(args):
                     "raw_space": run_info.get("raw_space", False)}
         if run_info.get("split"):
             recorded["split"] = SplitSpec(*run_info["split"])
-        if args.data is None:
+        if "dataset" not in overrides:
             recorded["name"] = run_info.get("name")
         for key, value in recorded.items():
             if key not in overrides:
                 setattr(spec, key, value)
     if "batch_size" in run_info.get("train", {}):
         spec.train_fields.setdefault("batch_size", run_info["train"]["batch_size"])
-    ds = _load_dataset(spec, args.data)
+    ds = _load_dataset(spec)
     if ds.n_series != model.cfg.n_nodes:
         raise ContractError(
             f"dataset has {ds.n_series} series but checkpoint expects {model.cfg.n_nodes}"
@@ -141,7 +146,7 @@ def cmd_eval(args) -> int:
     preds = forecasts(model, windows, spec.train_config().batch_size)
     if args.dump_predictions:
         preds = _dump_predictions(windows, preds, out / args.dump_predictions)
-    m, a = scores(windows, preds, prepared.stats if args.raw_space or spec.raw_space else None)
+    m, a = scores(windows, preds, prepared.stats if spec.raw_space else None)
     report = EvalReport([report_row(model.cfg, prepared.name, m, a)])
     print(report.to_csv(), end="")
     report.write(out / f"eval_{args.split}.csv")
@@ -165,17 +170,13 @@ def _dump_predictions(windows, preds, path):
 
 def cmd_grid(args) -> int:
     """sweep-gamma and ablate: one training per (horizon, grid value, seed)."""
-    field, key, kind, default, stem = GRIDS[args.command]
+    field, key, default, stem = GRIDS[args.command]
     spec = load_run_spec(args.config, _overrides(args))
-    ds = _load_dataset(spec, args.data)
-    listed = getattr(args, key)
-    values = [kind(v) for v in listed.split(",")] if listed else (getattr(spec, key) or default)
-    horizons = [int(h) for h in args.horizons.split(",")] if args.horizons else \
-        (spec.horizons or [spec.model_fields["horizon"]])
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else (spec.seeds or None)
-    model_cfg = spec.model_config(ds.n_series)
-    train_cfg = spec.train_config(max_epochs=args.max_epochs)
-    report = grid_run(ds, spec.split, field, values, horizons, model_cfg, train_cfg, seeds)
+    ds = _load_dataset(spec)
+    values = getattr(spec, key) or default
+    horizons = spec.horizons or [spec.model_fields["horizon"]]
+    report = grid_run(ds, spec.split, field, values, horizons, spec.model_config(ds.n_series),
+                      spec.train_config(), spec.seeds, spec.raw_space)
     out = _out_dir(args, spec)
     report.write(out / f"{stem}.csv")
     report.averaged().write(out / f"{stem}_avg.csv")
@@ -190,11 +191,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    spec = load_run_spec(args.config, _overrides(args)) if args.config else RunSpec()
-    # a zero --n, --length or --lag falls back to the config, as an unset flag does
-    ds, coupling = generate_coupled(**_synth_kwargs(
-        spec, n=args.n or None, length=args.length or None, seed=args.seed,
-        lag=args.lag or None, noise=args.noise))
+    spec = load_run_spec(args.config, _overrides(args))
+    ds, coupling = generate_coupled(**_synth_kwargs(spec))
     out = _out_dir(args, spec)
     path = out / (args.file or "synthetic.csv")
     write_csv(ds, path)
@@ -231,26 +229,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def setting(p, flag, key, about="", const=None, **kwargs):
+        metavar = flag.lstrip("-").upper().replace("-", "_")
+        p.add_argument(flag, action=_SettingFlag, key=key, const=const, metavar=metavar,
+                       help=f"{about} (--set {key}={const or metavar})".lstrip(), **kwargs)
+
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="key=value config file")
-        p.add_argument("--data", help="dataset CSV path (overrides config)")
+        setting(p, "--data", "dataset", "dataset CSV path")
         p.add_argument("--out", help=f"output directory (or ${OUT_DIR_ENV})")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key")
+                       help="set a config key; pairs and setting flags apply in order")
 
     p = sub.add_parser("train", help="train a model and write checkpoint + history")
     common(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--variant", choices=list(VARIANT_IDS))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
+    setting(p, "--horizon", "K")
+    setting(p, "--variant", "variant", "hgmts1..hgmts6", choices=list(VARIANT_IDS))
+    setting(p, "--gamma", "gamma")
+    setting(p, "--seed", "seed")
+    setting(p, "--max-epochs", "max_epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--raw-space", action="store_true")
+    setting(p, "--raw-space", "raw_space", "score in raw units", const="true")
     p.add_argument("--dump-predictions", metavar="FILE",
                    help="write per-window predicted-vs-true CSV")
     common(p, config_required=False)
@@ -261,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("ablate", "train/evaluate wiring variants", "hgmts1,hgmts4")):
         p = sub.add_parser(name, help=help_text)
         common(p)
-        p.add_argument(f"--{GRIDS[name][1]}", help=f"comma list, e.g. {example}")
-        p.add_argument("--horizons", help="comma list of horizons")
-        p.add_argument("--seeds", help="comma list of seeds")
-        p.add_argument("--max-epochs", dest="max_epochs", type=int)
+        setting(p, f"--{GRIDS[name][1]}", GRIDS[name][1], f"comma list, e.g. {example}")
+        setting(p, "--horizons", "horizons", "comma list of horizons")
+        setting(p, "--seeds", "seeds", "comma list of seeds")
+        setting(p, "--max-epochs", "max_epochs")
         p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("synth-gen", help="generate the coupled synthetic dataset")
@@ -272,16 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--file", help="output CSV name (default synthetic.csv)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--noise", type=float)
+    for flag in ("n", "length", "seed", "lag", "noise"):
+        setting(p, f"--{flag}", f"synth_{flag}")
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("inspect-graph", help="dump inferred adjacencies for one window")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data")
+    setting(p, "--data", "dataset", "dataset CSV path")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--window", type=int, default=0)
     p.add_argument("--out")

@@ -39,18 +39,33 @@ _TRAIN_KEYS = {
     "backcast_loss_weight": ("backcast_loss_weight", float),
 }
 
+
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _list(kind):
+    """A comma-list parser: items are stripped and empty items skipped."""
+    return lambda text: [kind(p.strip()) for p in text.split(",") if p.strip()]
+
+
 _RUN_KEYS = {
     "dataset": str,
     "name": str,
     "frequency": str,
-    "split": str,
+    "split": SplitSpec.parse,
     "out_dir": str,
-    "raw_space": bool,
-    "forward_fill": bool,
-    "seeds": str,
-    "gammas": str,
-    "horizons": str,
-    "variants": str,
+    "raw_space": _bool,
+    "forward_fill": _bool,
+    "seeds": _list(int),
+    "gammas": _list(float),
+    "horizons": _list(int),
+    "variants": _list(str),
     "synth_n": int,
     "synth_length": int,
     "synth_seed": int,
@@ -73,22 +88,11 @@ def parse_kv_file(path) -> dict[str, str]:
     return pairs
 
 
-def _coerce(key: str, value: str, kind):
+def _coerce(key: str, value: str, parse):
     try:
-        if kind is bool:
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        return kind(value)
-    except ValueError:
-        raise ContractError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
-
-
-def _parse_list(text: str, kind):
-    return [kind(p) for p in text.split(",") if p.strip()]
+        return parse(value)
+    except ValueError as exc:
+        raise ContractError(f"config key {key!r}: cannot parse {value!r}: {exc}") from None
 
 
 @dataclass
@@ -110,49 +114,32 @@ class RunSpec:
     variants: list[str] = field(default_factory=list)
     synth: dict = field(default_factory=dict)
 
-    def model_config(self, n_nodes: int, **overrides) -> ModelConfig:
-        merged = dict(self.model_fields)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        return ModelConfig(n_nodes=n_nodes, **merged)
+    def model_config(self, n_nodes: int) -> ModelConfig:
+        return ModelConfig(n_nodes=n_nodes, **self.model_fields)
 
-    def train_config(self, **overrides) -> TrainConfig:
-        merged = dict(self.train_fields)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        merged.setdefault("seed", self.model_fields.get("seed", 0))
-        return TrainConfig(**merged)
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{"seed": self.model_fields.get("seed", 0), **self.train_fields})
 
 
 def load_run_spec(path, extra_pairs: dict[str, str] | None = None) -> RunSpec:
-    """Parse a config file (plus optional override pairs) into a RunSpec."""
-    pairs = parse_kv_file(path) if path else {}
-    if extra_pairs:
-        pairs.update(extra_pairs)
+    """Parse a config file, then the --set pairs, into a RunSpec; a pair wins over
+    the file's line for its key."""
     spec = RunSpec()
-    for key, value in pairs.items():
-        if key in _MODEL_KEYS:
-            attr, kind = _MODEL_KEYS[key]
-            spec.model_fields[attr] = _coerce(key, value, kind)
-        elif key in _TRAIN_KEYS:
-            attr, kind = _TRAIN_KEYS[key]
-            spec.train_fields[attr] = _coerce(key, value, kind)
-        elif key in _RUN_KEYS:
-            kind = _RUN_KEYS[key]
-            if key == "split":
-                spec.split = SplitSpec.parse(value)
-            elif key == "seeds":
-                spec.seeds = _parse_list(value, int)
-            elif key == "gammas":
-                spec.gammas = _parse_list(value, float)
-            elif key == "horizons":
-                spec.horizons = _parse_list(value, int)
-            elif key == "variants":
-                spec.variants = [v.strip() for v in value.split(",") if v.strip()]
-            elif key.startswith("synth_"):
-                spec.synth[key.removeprefix("synth_")] = _coerce(key, value, kind)
+    sources = [(path, parse_kv_file(path))] if path else []
+    for source, pairs in [*sources, ("--set", extra_pairs or {})]:
+        for key, value in pairs.items():
+            if key in _MODEL_KEYS:
+                attr, kind = _MODEL_KEYS[key]
+                spec.model_fields[attr] = _coerce(key, value, kind)
+            elif key in _TRAIN_KEYS:
+                attr, kind = _TRAIN_KEYS[key]
+                spec.train_fields[attr] = _coerce(key, value, kind)
+            elif key.startswith("synth_") and key in _RUN_KEYS:
+                spec.synth[key.removeprefix("synth_")] = _coerce(key, value, _RUN_KEYS[key])
+            elif key in _RUN_KEYS:
+                setattr(spec, key, _coerce(key, value, _RUN_KEYS[key]))
             else:
-                setattr(spec, key, _coerce(key, value, kind))
-        else:
-            raise ContractError(f"unknown config key {key!r} in {path}")
+                raise ContractError(f"unknown config key {key!r} in {source}")
     # keep training window length aligned with the model's input length
     if "input_len" not in spec.model_fields:
         spec.model_fields["input_len"] = 96

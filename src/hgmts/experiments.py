@@ -114,10 +114,11 @@ def run_one(prepared: PreparedData, model_cfg: ModelConfig, train_cfg: TrainConf
 
 def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: list[int],
              model_cfg: ModelConfig, train_cfg: TrainConfig,
-             seeds: list[int] | None = None) -> EvalReport:
+             seeds: list[int] | None = None, raw_space: bool = False) -> EvalReport:
     """Train and evaluate per (horizon, value of the ModelConfig ``field``, seed);
-    one report row each.  Every config of the grid is built before the first
-    one trains, so a bad value fails before any training."""
+    one report row each, scored in raw units when ``raw_space``.  Every config
+    of the grid is built before the first one trains, so a bad value fails
+    before any training."""
     seeds = seeds or [model_cfg.seed]
     grid = [(horizon, [replace(model_cfg, **{field: value}, horizon=horizon, seed=seed)
                        for value in values for seed in seeds])
@@ -126,5 +127,6 @@ def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: l
     for horizon, cfgs in grid:
         prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)
         for cfg in cfgs:
-            rows.append(run_one(prepared, cfg, replace(train_cfg, seed=cfg.seed))[0])
+            rows.append(run_one(prepared, cfg, replace(train_cfg, seed=cfg.seed),
+                                prepared.stats if raw_space else None)[0])
     return EvalReport(rows)

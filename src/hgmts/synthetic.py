@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import ContractError
 from .data import Dataset
 
 
@@ -41,6 +42,10 @@ def generate_coupled(
     act as parents; the rest couple to them, so their stochastic component is
     visible only through the graph.
     """
+    for arg, value, least in (("n_series", n_series, 1), ("length", length, 1),
+                              ("coupling_lag", coupling_lag, 1), ("noise_std", noise_std, 0)):
+        if value < least:
+            raise ContractError(f"generate_coupled: {arg} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)
     coupling = np.zeros((n_series, n_series))
     for i in range(n_series):

@@ -86,6 +86,14 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 12.0)
 
+    def test_only_leaves_keep_a_gradient(self):
+        x = Tensor(3.0)
+        sq = ad.mul(x, x)
+        loss = ad.add(sq, sq)
+        ad.backward(loss)
+        np.testing.assert_allclose(x.grad, 12.0)
+        assert sq.grad is None and loss.grad is None
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             ad.backward(Tensor([1.0, 2.0]))

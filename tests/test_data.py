@@ -189,6 +189,12 @@ class TestManifest:
 
 
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("arg, value", [("n_series", 0), ("length", 0),
+                                            ("coupling_lag", 0), ("noise_std", -0.1)])
+    def test_impossible_sizes_rejected(self, arg, value):
+        with pytest.raises(ContractError, match=arg):
+            generate_coupled(**{arg: value})
+
     def test_shapes_and_determinism(self):
         a, coupling_a = generate_coupled(n_series=6, length=300, seed=9)
         b, coupling_b = generate_coupled(n_series=6, length=300, seed=9)

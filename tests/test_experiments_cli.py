@@ -261,6 +261,63 @@ class TestCli:
         lines = (workdir / "out" / "ablation.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
 
+    @pytest.mark.parametrize("command, flags, line, stem", [
+        ("ablate", ["--variants", "hgmts4, hgmts5"], "variants = hgmts4, hgmts5", "ablation"),
+        ("sweep-gamma", ["--gammas", "0.5,"], "gammas = 0.5,", "sweep_gamma"),
+    ])
+    def test_grid_list_flags_read_as_their_config_lines(self, workdir, command, flags, line,
+                                                        stem):
+        def rows():
+            return [r.rsplit(",", 1)[0]  # all but wall_s
+                    for r in (workdir / "out" / f"{stem}.csv").read_text().splitlines()]
+
+        assert main([command, "--config", "run.cfg", "--out", "out", *flags]) == 0
+        by_flag = rows()
+        (workdir / "list.cfg").write_text((workdir / "run.cfg").read_text() + line + "\n")
+        assert main([command, "--config", "list.cfg", "--out", "out"]) == 0
+        assert rows() == by_flag
+        assert len(by_flag) == 1 + (2 if command == "ablate" else 1)
+
+    def test_ablate_scores_a_raw_space_config_as_train_does(self, workdir):
+        (workdir / "raw.cfg").write_text((workdir / "run.cfg").read_text() + "raw_space = true\n")
+        assert main(["train", "--config", "raw.cfg", "--out", "out"]) == 0
+        assert main(["ablate", "--config", "raw.cfg", "--out", "out", "--variants", "hgmts1"]) == 0
+        trained = (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")
+        ablated = (workdir / "out" / "ablation.csv").read_text().splitlines()[1].split(",")
+        assert ablated[5:7] == trained[5:7]  # mse, mae
+
+    @pytest.mark.parametrize("flags, horizon", [
+        (["--set", "K=2", "--horizon", "4"], "4"),
+        (["--horizon", "4", "--set", "K=2"], "2"),
+    ])
+    def test_last_setting_wins(self, workdir, flags, horizon):
+        assert main(["train", "--config", "run.cfg", "--out", "out", *flags]) == 0
+        assert (workdir / "out" / "report.csv").read_text().splitlines()[1].split(",")[3] == horizon
+
+    def test_synth_gen_reads_set_without_config(self, workdir):
+        assert main(["synth-gen", "--out", "out", "--set", "synth_n=3",
+                     "--set", "synth_length=60"]) == 0
+        assert np.loadtxt(workdir / "out" / "synthetic_coupling.csv", delimiter=",").shape == (3, 3)
+
+    def test_synth_gen_zero_series_fails(self, workdir, capsys):
+        assert main(["synth-gen", "--out", "out", "--n", "0"]) == 1
+        assert "n_series" in capsys.readouterr().err
+        assert not (workdir / "out" / "synthetic.csv").exists()
+
+    @pytest.mark.parametrize("line, key", [("seeds = a", "seeds"),
+                                           ("split = 0.7,x,0.2", "split")])
+    def test_bad_list_value_names_its_key(self, workdir, capsys, line, key):
+        (workdir / "bad.cfg").write_text((workdir / "run.cfg").read_text() + line + "\n")
+        assert main(["ablate", "--config", "bad.cfg", "--out", "out"]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_set_typo_names_set(self, workdir, capsys):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--set", "bogus=1"]) == 1
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--set", "bogus=1"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: unknown config key 'bogus' in --set"] * 2
+
     def test_synth_gen_writes_csv_and_coupling(self, workdir):
         code = main(["synth-gen", "--out", "out", "--n", "5", "--length", "60",
                      "--seed", "3", "--file", "gen.csv"])

@@ -1,18 +1,20 @@
-"""Adam optimizer over named parameters."""
+"""Adam optimizer as whole-buffer passes over one flat parameter buffer."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .autodiff import ContractError
-from .nn import Parameter
 
 
 class AdamState:
-    """Per-parameter first/second moment buffers plus the step counter.
+    """One flat buffer of parameter values, its first/second moments and the step counter.
 
-    Defaults follow the usual convention: beta1=0.9, beta2=0.999, eps=1e-8.
-    ``lr`` is mutable so a schedule can adjust it between steps.
+    The values of ``params`` are copied into ``values`` in order, and each
+    parameter's ``tensor.values`` becomes a view of its slice, so an update of
+    the buffer updates every parameter.  Defaults follow the usual convention:
+    beta1=0.9, beta2=0.999, eps=1e-8.  ``lr`` is mutable so a schedule can
+    adjust it between steps.
     """
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
@@ -22,27 +24,45 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {p.name: np.zeros_like(p.values) for p in params}
-        self.v = {p.name: np.zeros_like(p.values) for p in params}
+        self.params = list(params)
+        self.values = np.concatenate([p.values.ravel() for p in self.params])
+        lo = 0
+        for p in self.params:
+            p.tensor.values = self.values[lo : lo + p.values.size].reshape(p.values.shape)
+            lo += p.values.size
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
 
 
-def adam_step(state: AdamState, params: list[Parameter]) -> None:
-    """One bias-corrected Adam update in place; gradients are zeroed after."""
-    for p in params:
+def adam_step(state: AdamState) -> None:
+    """One bias-corrected Adam update of the whole buffer in place; gradients are cleared.
+
+    The gradient and scratch buffers live for this call only, so they are not
+    resident while the next step's tape is built.
+    """
+    for p in state.params:
         if p.tensor.grad is None:
             raise ContractError(f"adam_step: parameter {p.name} has no gradient")
+        if p.tensor.values.base is not state.values:
+            raise ContractError(f"adam_step: parameter {p.name} was rebound and no longer "
+                                "views the optimizer's buffer")
+    g = np.concatenate([p.tensor.grad.ravel() for p in state.params])
+    for p in state.params:
+        p.tensor.grad = None
+    scratch = np.empty_like(g)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p in params:
-        g = p.tensor.grad
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.tensor.values = p.tensor.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.tensor.grad = None
+    m, v = state.m, state.v
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=scratch)
+    v *= b2
+    g *= g
+    v += np.multiply(g, 1.0 - b2, out=g)
+    np.divide(m, 1.0 - b1**t, out=scratch)  # m_hat
+    scratch *= state.lr
+    np.divide(v, 1.0 - b2**t, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += state.eps
+    scratch /= g
+    state.values -= scratch

@@ -86,14 +86,13 @@ class _Batcher:
             yield [self.windows[i] for i in order[lo : lo + self.batch_size]]
 
 
-def _train_step(model: Model, params: list, adam: AdamState, cfg: TrainConfig, batch: list,
-                where: str) -> float:
+def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, where: str) -> float:
     """One Adam step on ``batch``; returns its loss.  The step's tape dies on
     return, so no two steps' tapes are alive at once."""
     xs = np.stack([x for x, _ in batch])
     ys = np.concatenate([y for _, y in batch], axis=0)
     # the step count seeds this step's graph key samples
-    forecast, residual, _ = model.forward_batch(xs, step=adam.step)
+    forecast, residual = model.forward_batch(xs, step=adam.step)[:2]
     loss = mse_loss(forecast, ys)
     if cfg.backcast_loss_weight > 0:
         loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)), cfg.backcast_loss_weight))
@@ -102,10 +101,11 @@ def _train_step(model: Model, params: list, adam: AdamState, cfg: TrainConfig, b
         raise TrainingDiverged(f"non-finite loss {value} at {where}; "
                                f"parameter norm {model.registry.value_norm():.4g}")
     ad.backward(loss)
-    for p in params:  # heads feeding only the unused final residual get zero grad
+    for p in adam.params:  # heads feeding only the unused final residual get zero grad
         if p.tensor.grad is None:
             p.tensor.grad = np.zeros_like(p.values)
-    adam_step(adam, params)
+    del forecast, residual, loss  # the tape dies here, before Adam allocates its buffers
+    adam_step(adam)
     return value
 
 
@@ -117,8 +117,7 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
     if not train_windows:
         raise ContractError("train requires at least one training window")
     t0 = time.perf_counter()
-    params = model.parameters()
-    adam = AdamState(params, lr=cfg.lr0)
+    adam = AdamState(model.parameters(), lr=cfg.lr0)
     batcher = _Batcher(train_windows, cfg.batch_size, cfg.seed)
     history: list[EpochStats] = []
     best_val = float("inf")
@@ -131,8 +130,7 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
         adam.lr = lr_schedule(epoch, cfg.lr0, cfg.halve_every)
         losses = []
         for batch_idx, batch in enumerate(batcher.epoch_batches(epoch)):
-            losses.append(_train_step(model, params, adam, cfg, batch,
-                                      f"epoch {epoch}, batch {batch_idx}"))
+            losses.append(_train_step(model, adam, cfg, batch, f"epoch {epoch}, batch {batch_idx}"))
 
         train_loss = float(np.mean(losses))
         val = (evaluate(model, val_windows, batch_size=cfg.batch_size)[0] if val_windows

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hgmts import autodiff as ad
-from hgmts.autodiff import Tensor
+from hgmts.autodiff import ContractError, Tensor
 from hgmts.decomposition import decompose
 from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, project_qk, select_queries
 from hgmts.model import ForwardContext
@@ -174,6 +174,36 @@ def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, seed):
         sel_ks.append(sel_k)
         weights.append(ref_softmax_rows(np.take_along_axis(key_logits, sel_k, axis=1)))
     return np.stack(sel_qs), np.stack(sel_ks), np.stack(weights)
+
+
+def reference_adam_step(state) -> None:
+    """Adam one parameter array at a time, with fresh temporaries: the oracle
+    that ``optim.adam_step`` matches bitwise.
+
+    Its moments live in each parameter's slice of ``state.m`` and ``state.v``,
+    and each parameter's values are rebound to a new array.
+    """
+    for p in state.params:
+        if p.tensor.grad is None:
+            raise ContractError(f"adam_step: parameter {p.name} has no gradient")
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    lo = 0
+    for p in state.params:
+        g = p.tensor.grad
+        hi = lo + g.size
+        m = state.m[lo:hi].reshape(g.shape)
+        v = state.v[lo:hi].reshape(g.shape)
+        lo = hi
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p.tensor.values = p.tensor.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.tensor.grad = None
 
 
 def gru_param_values(cell):

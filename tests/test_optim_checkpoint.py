@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from helpers import reference_adam_step
+from hgmts import training
 from hgmts.autodiff import ContractError
 from hgmts.checkpoint import config_hash, load_checkpoint, save_checkpoint
+from hgmts.data import SplitSpec
+from hgmts.experiments import prepare_windows
+from hgmts.model import ModelConfig, build_variant
 from hgmts.nn import ParamRegistry
 from hgmts.optim import AdamState, adam_step
+from hgmts.synthetic import generate_coupled
 
 
 def make_param(value):
@@ -21,7 +27,7 @@ class TestAdam:
         p = make_param([1.0, -2.0])
         state = AdamState([p])
         p.tensor.grad = np.zeros(2)
-        adam_step(state, [p])
+        adam_step(state)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
     def test_single_scalar_first_step_matches_hand_calc(self):
@@ -29,7 +35,7 @@ class TestAdam:
         p = make_param([1.0])
         state = AdamState([p], lr=1e-4)
         p.tensor.grad = np.ones(1)
-        adam_step(state, [p])
+        adam_step(state)
         expected = 1.0 - 1e-4 * (1.0 / (1.0 + 1e-8))
         np.testing.assert_allclose(p.values, [expected], rtol=1e-15)
 
@@ -40,7 +46,7 @@ class TestAdam:
         for t in (1, 2):
             g = 2.0 * theta  # gradient of theta^2
             p.tensor.grad = np.array([g])
-            adam_step(state, [p])
+            adam_step(state)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 1e-3 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
@@ -51,21 +57,87 @@ class TestAdam:
         state = AdamState([p])
         for expected in (1, 2, 3):
             p.tensor.grad = np.ones(1)
-            adam_step(state, [p])
+            adam_step(state)
             assert state.step == expected
 
     def test_missing_gradient_rejected(self):
         p = make_param([0.0])
         state = AdamState([p])
         with pytest.raises(ContractError, match="theta"):
-            adam_step(state, [p])
+            adam_step(state)
 
     def test_gradients_zeroed_after_step(self):
         p = make_param([0.0])
         state = AdamState([p])
         p.tensor.grad = np.ones(1)
-        adam_step(state, [p])
+        adam_step(state)
         assert p.tensor.grad is None
+
+
+def small_model(variant, seed=0):
+    cfg = ModelConfig(n_nodes=8, input_len=12, horizon=4, embed_dim=4, kernel=5, stacks=1,
+                      rounds=1, gamma=0.7, seed=seed, variant=variant)
+    return build_variant(cfg)
+
+
+class TestFlatBuffer:
+    """Parameters are views of one buffer that Adam updates in whole-buffer passes,
+    bitwise equal to the per-parameter update of ``helpers.reference_adam_step``."""
+
+    def test_parameters_view_the_buffer_in_registry_order(self):
+        model = small_model("hgmts1")
+        before = model.registry.named_values()
+        state = AdamState(model.parameters())
+        assert state.values.size == sum(v.size for v in before.values())
+        assert all(p.values.base is state.values for p in state.params)
+        np.testing.assert_array_equal(
+            state.values, np.concatenate([v.ravel() for v in before.values()]))
+        for name, values in model.registry.named_values().items():
+            np.testing.assert_array_equal(values, before[name])
+
+    def test_detached_parameter_rejected(self):
+        model = small_model("hgmts1")
+        params = model.parameters()
+        state = AdamState(params)
+        for p in params:
+            p.tensor.grad = np.ones_like(p.values)
+        adam_step(state)
+        params[3].tensor.values = params[3].values.copy()
+        for p in params:
+            p.tensor.grad = np.ones_like(p.values)
+        with pytest.raises(ContractError, match=params[3].name):
+            adam_step(state)
+
+    def test_steps_match_the_per_parameter_oracle_bitwise(self):
+        flat, ref = small_model("hgmts1"), small_model("hgmts1")
+        flat_state = AdamState(flat.parameters(), lr=1e-2)
+        ref_state = AdamState(ref.parameters(), lr=1e-2)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            for p, q in zip(flat.parameters(), ref.parameters()):
+                p.tensor.grad = rng.normal(size=p.values.shape)
+                q.tensor.grad = p.tensor.grad.copy()
+            adam_step(flat_state)
+            reference_adam_step(ref_state)
+        for p, q in zip(flat.parameters(), ref.parameters()):
+            assert p.values.tobytes() == q.values.tobytes(), p.name
+        assert flat_state.m.tobytes() == ref_state.m.tobytes()
+        assert flat_state.v.tobytes() == ref_state.v.tobytes()
+
+    @pytest.mark.parametrize("variant", ["hgmts4", "hgmts1"])
+    def test_train_matches_the_per_parameter_oracle_bitwise(self, variant, monkeypatch):
+        ds, _ = generate_coupled(n_series=8, length=300, seed=3)
+        prepared = prepare_windows(ds, SplitSpec(0.7, 0.1, 0.2), 12, 4)
+        cfg = training.TrainConfig(lr0=1e-2, max_epochs=2, batch_size=16, seed=0)
+        runs = []
+        for step in (training.adam_step, reference_adam_step):
+            monkeypatch.setattr(training, "adam_step", step)
+            model = small_model(variant)
+            result = training.train(model, prepared.train, prepared.val, cfg)
+            assert all(p.values.base is None for p in model.parameters())
+            runs.append((result.history_csv(),
+                         {k: v.tobytes() for k, v in model.registry.named_values().items()}))
+        assert runs[0] == runs[1]
 
 
 class TestInitialization:

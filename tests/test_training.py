@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hgmts import training
 from hgmts.autodiff import ContractError, ShapeMismatch
 from hgmts.data import SplitSpec
 from hgmts.experiments import EvalReport, prepare_windows
@@ -212,6 +213,26 @@ class TestTapeLifetime:
             evaluate(model, prepared.test[:24], batch_size=8)
         assert len(alive_at_entry) == (10 if call == "train" else 3)
         assert alive_at_entry == [0] * len(alive_at_entry)
+
+    def test_step_tape_is_dead_when_adam_starts(self, monkeypatch):
+        model, prepared = small_setup()
+        forward_batch, adam_step = Model.forward_batch, training.adam_step
+        step_refs, alive_at_adam = [], []
+
+        def forward_spy(self, *args, **kwargs):
+            out = forward_batch(self, *args, **kwargs)
+            forecast, residual, ctx = out
+            step_refs[:] = [weakref.ref(obj) for obj in (forecast._grad_fn, residual._grad_fn, ctx)]
+            return out
+
+        def adam_spy(state):
+            alive_at_adam.append(sum(ref() is not None for ref in step_refs))
+            adam_step(state)
+
+        monkeypatch.setattr(Model, "forward_batch", forward_spy)
+        monkeypatch.setattr(training, "adam_step", adam_spy)
+        train(model, prepared.train[:24], [], TrainConfig(max_epochs=2, batch_size=8, seed=0))
+        assert alive_at_adam == [0] * 6
 
 
 class TestReportAveraging:

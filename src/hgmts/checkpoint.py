@@ -16,6 +16,7 @@ from .autodiff import ContractError
 
 FORMAT_NAME = "hgmts-checkpoint"
 FORMAT_VERSION = 1
+DTYPE = "<f8"
 
 
 def config_hash(config: dict) -> str:
@@ -27,7 +28,7 @@ def save_checkpoint(path, named_values: dict[str, np.ndarray], config: dict) -> 
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "dtype": "<f8",
+        "dtype": DTYPE,
         "config_hash": config_hash(config),
         "config": config,
         "params": [[name, list(np.asarray(v).shape)] for name, v in named_values.items()],
@@ -36,17 +37,24 @@ def save_checkpoint(path, named_values: dict[str, np.ndarray], config: dict) -> 
         fh.write(json.dumps(manifest).encode())
         fh.write(b"\n")
         for v in named_values.values():
-            fh.write(np.asarray(v, dtype="<f8").tobytes(order="C"))
+            fh.write(np.asarray(v, dtype=DTYPE).tobytes(order="C"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
-    """Returns (name -> values, config, config_hash); verifies hash and sizes."""
+    """Returns (name -> values, config, config_hash); verifies manifest, hash, sizes."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
     manifest = json.loads(header.decode())
-    if manifest.get("format") != FORMAT_NAME:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ContractError(f"not a {FORMAT_NAME} file: {path}")
+    for key in ("config_hash", "config", "params"):
+        if key not in manifest:
+            raise ContractError(f"checkpoint {path} has no {key!r} in its manifest")
+    for key, expected in (("version", FORMAT_VERSION), ("dtype", DTYPE)):
+        if manifest.get(key) != expected:
+            raise ContractError(f"checkpoint {path} has {key} {manifest.get(key)!r}, "
+                                f"expected {expected!r}")
     stored_hash = manifest["config_hash"]
     if config_hash(manifest["config"]) != stored_hash:
         raise ContractError(f"checkpoint config hash mismatch in {path}")
@@ -58,7 +66,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise ContractError(f"checkpoint truncated at parameter {name}")
-        values[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        values[name] = np.frombuffer(chunk, dtype=DTYPE).reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise ContractError(f"checkpoint has {len(payload) - offset} trailing bytes")

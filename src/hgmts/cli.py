@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import ContractError, NumericError, ShapeMismatch
 from .config import RunSpec, load_run_spec
-from .data import SplitSpec, load_csv, manifest
+from .data import load_csv, manifest
 from .experiments import EvalReport, grid_run, prepare_windows, report_row, run_one
 from .latent_graph import dump_edges, gamma_count
 from .model import VARIANT_IDS, load_model
@@ -60,7 +60,8 @@ def _load_dataset(spec: RunSpec):
     if source is None:
         raise ContractError("no dataset configured; set 'dataset' in the config or pass --data")
     if source == "synthetic":
-        return generate_coupled(**_synth_kwargs(spec))[0]
+        named = {"name": spec.name} if spec.name else {}
+        return generate_coupled(**_synth_kwargs(spec), **named)[0]
     if not Path(source).exists():
         raise FileNotFoundError(f"dataset file not found: {source}")
     return load_csv(source, name=spec.name or Path(source).stem, frequency=spec.frequency,
@@ -89,13 +90,7 @@ def cmd_train(args) -> int:
     row, model, result = run_one(prepared, model_cfg, train_cfg,
                                  prepared.stats if spec.raw_space else None)
     ckpt = out / "model.ckpt"
-    model.save(ckpt, run_info={"dataset": spec.dataset,
-                               "synth": dict(spec.synth),
-                               "name": ds.name,
-                               "forward_fill": spec.forward_fill,
-                               "raw_space": spec.raw_space,
-                               "split": [spec.split.train, spec.split.val, spec.split.test],
-                               "train": vars(train_cfg).copy()})
+    model.save(ckpt, run_info={"settings": spec.pairs})
     (out / "history.csv").write_text(result.history_csv())
     report = EvalReport([row])
     report.write(out / "report.csv")
@@ -106,30 +101,22 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_windows(args):
-    """The checkpoint's model, the run spec and the prepared windows.  Without a
-    config the spec is the run train recorded: data (file or synthetic settings),
-    split, forward fill, units, and name unless a dataset pair (--data) names
-    another file; a --set pair wins over the record.  The batch size is the
-    config's or --set's, else the one train ran at."""
+    """The checkpoint's model, the run spec and the prepared windows.  With a
+    config, that file and the command's pairs are the whole run.  Without one,
+    the settings train recorded are replayed under the command's pairs: a pair
+    wins for its key, and a dataset pair (--data) also drops the recorded name,
+    so another file is never reported under the run's name."""
     model, run_info = load_model(args.checkpoint)
     config = getattr(args, "config", None)
-    overrides = _overrides(args)
-    spec = load_run_spec(config, overrides)
-    if not spec.dataset and run_info.get("dataset"):
-        spec.dataset = run_info["dataset"]
+    pairs = _overrides(args)
     if config is None:
-        spec.synth = {**run_info.get("synth", {}), **spec.synth}
-        recorded = {"forward_fill": run_info.get("forward_fill", False),
-                    "raw_space": run_info.get("raw_space", False)}
-        if run_info.get("split"):
-            recorded["split"] = SplitSpec(*run_info["split"])
-        if "dataset" not in overrides:
-            recorded["name"] = run_info.get("name")
-        for key, value in recorded.items():
-            if key not in overrides:
-                setattr(spec, key, value)
-    if "batch_size" in run_info.get("train", {}):
-        spec.train_fields.setdefault("batch_size", run_info["train"]["batch_size"])
+        if run_info and "settings" not in run_info:
+            raise ContractError(f"{args.checkpoint} records its run without settings (an older "
+                                "checkpoint); pass --config with the run's config")
+        recorded = {key: value for key, value in run_info.get("settings", {}).items()
+                    if not (key == "name" and "dataset" in pairs)}
+        pairs = {**recorded, **pairs}
+    spec = load_run_spec(config, pairs)
     ds = _load_dataset(spec)
     if ds.n_series != model.cfg.n_nodes:
         raise ContractError(

@@ -113,6 +113,7 @@ class RunSpec:
     horizons: list[int] = field(default_factory=list)
     variants: list[str] = field(default_factory=list)
     synth: dict = field(default_factory=dict)
+    pairs: dict[str, str] = field(default_factory=dict)
 
     def model_config(self, n_nodes: int) -> ModelConfig:
         return ModelConfig(n_nodes=n_nodes, **self.model_fields)
@@ -123,10 +124,11 @@ class RunSpec:
 
 def load_run_spec(path, extra_pairs: dict[str, str] | None = None) -> RunSpec:
     """Parse a config file, then the --set pairs, into a RunSpec; a pair wins over
-    the file's line for its key."""
+    the file's line for its key, and ``spec.pairs`` keeps the merged pairs."""
     spec = RunSpec()
     sources = [(path, parse_kv_file(path))] if path else []
     for source, pairs in [*sources, ("--set", extra_pairs or {})]:
+        spec.pairs.update(pairs)
         for key, value in pairs.items():
             if key in _MODEL_KEYS:
                 attr, kind = _MODEL_KEYS[key]

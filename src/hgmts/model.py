@@ -291,6 +291,8 @@ def build_variant(cfg: ModelConfig) -> Model:
 def load_model(path) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; returns (model, run_info)."""
     values, config, _ = load_checkpoint(path)
+    if "model" not in config:
+        raise ContractError(f"checkpoint {path} has no 'model' section in its config")
     model = build_variant(ModelConfig.from_dict(config["model"]))
     model.registry.load_values(values)
     return model, config.get("run", {})

@@ -1,13 +1,17 @@
 """Sweeps, ablations, report files, and the command-line surface."""
 
+import argparse
+import itertools
+import json
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hgmts.cli
-from hgmts.cli import main
+from hgmts.cli import _SettingFlag, build_parser, main
 from hgmts.data import SplitSpec, load_csv
 from hgmts.experiments import REPORT_HEADER, grid_run, prepare_windows
 from hgmts.latent_graph import dump_edges, gamma_count
@@ -414,3 +418,124 @@ class TestCli:
 
     def test_no_subcommand_fails(self, workdir):
         assert main([]) != 0
+
+
+def report_row_fields(path):
+    return path.read_text().splitlines()[1].split(",")
+
+
+class TestRunRecord:
+    """train records the pairs its RunSpec was parsed from; eval and
+    inspect-graph replay them under their own pairs unless given a config."""
+
+    def test_recorded_settings_replay_to_the_train_spec(self, workdir, monkeypatch):
+        load_run_spec, specs = hgmts.cli.load_run_spec, []
+
+        def recording_load_run_spec(*args, **kwargs):
+            specs.append(load_run_spec(*args, **kwargs))
+            return specs[-1]
+
+        monkeypatch.setattr(hgmts.cli, "load_run_spec", recording_load_run_spec)
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--set", "batch=8",
+                     "--horizon", "2", "--set", "raw_space=true", "--max-epochs", "2"]) == 0
+        _, run_info = load_model(workdir / "out" / "model.ckpt")
+        assert list(run_info) == ["settings"]
+        settings = run_info["settings"]
+        assert settings["K"] == "2" and settings["batch"] == "8" and settings["name"] == "tiny"
+        assert settings["max_epochs"] == "2" and settings["raw_space"] == "true"
+        assert load_run_spec(None, settings) == specs[0]
+
+    def test_eval_config_borrows_no_recorded_dataset_or_batch(self, workdir, monkeypatch,
+                                                              capsys):
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--set", "batch=8"]) == 0
+        lines = (workdir / "run.cfg").read_text().splitlines()
+        (workdir / "bare.cfg").write_text(
+            "\n".join(line for line in lines if not line.startswith(("dataset", "batch"))) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--config", "bare.cfg"]) == 1
+        assert "no dataset configured" in capsys.readouterr().err
+        passes = spy_forward_batch(monkeypatch)
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--config", "bare.cfg",
+                     "--data", "series.csv", "--out", "out"]) == 0
+        assert [len(p) for p in passes] == [32, 5]  # the default batch, not the recorded 8
+
+    def test_checkpoint_commands_write_to_the_recorded_out_dir(self, workdir):
+        assert main(["train", "--config", "run.cfg", "--set", "out_dir=runs"]) == 0
+        assert main(["eval", "--checkpoint", "runs/model.ckpt"]) == 0
+        assert main(["inspect-graph", "--checkpoint", "runs/model.ckpt"]) == 0
+        assert (workdir / "runs" / "eval_test.csv").exists()
+        assert (workdir / "runs" / "graph.csv").exists()
+        assert not (workdir / "eval_test.csv").exists()
+
+    def test_data_drops_the_recorded_name(self, workdir):
+        other, _ = generate_coupled(n_series=4, length=240, seed=9)
+        write_csv(other, workdir / "other.csv")
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        assert report_row_fields(workdir / "out" / "eval_test.csv")[0] == "tiny"
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out",
+                     "--data", "other.csv"]) == 0
+        assert report_row_fields(workdir / "out" / "eval_test.csv")[0] == "other"
+
+    @pytest.mark.parametrize("line, name", [("", "synthetic-coupled"), ("name = mine", "mine")])
+    def test_name_labels_a_synthetic_run(self, workdir, line, name):
+        (workdir / "synth.cfg").write_text(
+            "dataset = synthetic\nsynth_length = 240\nsynth_n = 4\n" + line + "\n"
+            "split = 0.7,0.1,0.2\nL = 8\nK = 4\nD = 4\nkernel = 3\nrounds = 1\n"
+            "stacks = 1\nseed = 0\nmax_epochs = 1\n")
+        assert main(["train", "--config", "synth.cfg", "--out", "out"]) == 0
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        assert report_row_fields(workdir / "out" / "report.csv")[0] == name
+        assert report_row_fields(workdir / "out" / "eval_test.csv")[0] == name
+
+    def test_old_run_record_needs_a_config(self, workdir, capsys):
+        model = Model(fast_model_cfg(4))
+        model.save(workdir / "old.ckpt", run_info={"dataset": "series.csv", "name": "tiny",
+                                                   "split": [0.7, 0.1, 0.2]})
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", "old.ckpt", "--out", "out"]) == 1
+        assert main(["inspect-graph", "--checkpoint", "old.ckpt", "--out", "out"]) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all("pass --config" in e for e in errors)
+        assert main(["eval", "--checkpoint", "old.ckpt", "--config", "run.cfg",
+                     "--out", "out"]) == 0
+
+    def test_empty_run_record_replays_nothing(self, workdir, capsys):
+        Model(fast_model_cfg(4)).save(workdir / "bare.ckpt")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", "bare.ckpt", "--out", "out"]) == 1
+        assert "no dataset configured" in capsys.readouterr().err
+        assert main(["eval", "--checkpoint", "bare.ckpt", "--data", "series.csv",
+                     "--out", "out"]) == 0
+        assert report_row_fields(workdir / "out" / "eval_test.csv")[0] == "series"
+
+    def test_missing_config_hash_fails_without_a_traceback(self, workdir, capsys):
+        Model(fast_model_cfg(4)).save(workdir / "m.ckpt")
+        header, _, payload = (workdir / "m.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        del manifest["config_hash"]
+        (workdir / "m.ckpt").write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        assert main(["eval", "--checkpoint", "m.ckpt", "--data", "series.csv"]) == 1
+        assert "'config_hash'" in capsys.readouterr().err
+
+
+def readme_flag_rows():
+    """(flag, key, command) triples of README's setting-flag table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| flag | key | commands |") + 2
+    rows = set()
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        flag, key, commands = [cell.strip() for cell in line.strip("|").split("|")]
+        rows |= {(flag.strip("`"), key.strip("`"), command.strip().strip("`"))
+                 for command in commands.split(",")}
+    return rows
+
+
+def test_readme_flag_table_matches_the_parser():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {(flag, a.key if a.const is None else f"{a.key}={a.const}", command)
+              for command, sub in subcommands.choices.items()
+              for a in sub._actions if isinstance(a, _SettingFlag)
+              for flag in a.option_strings}
+    assert readme_flag_rows() == parsed

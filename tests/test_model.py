@@ -325,6 +325,13 @@ class TestPersistence:
         x = rand_window(model.cfg, seed=34)
         np.testing.assert_array_equal(loaded.forward(x).values, model.forward(x).values)
 
+    def test_checkpoint_without_model_section_rejected(self, tmp_path):
+        model = tiny_model(seed=37)
+        path = tmp_path / "nomodel.ckpt"
+        save_checkpoint(path, model.registry.named_values(), {"run": {}})
+        with pytest.raises(ContractError, match="'model'"):
+            load_model(path)
+
     def test_checkpoint_with_unknown_model_key_rejected(self, tmp_path):
         """A misspelt field must not load as the default: blocks_per_stak=2
         would otherwise give a one-block-per-stack model."""

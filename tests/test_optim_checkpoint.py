@@ -1,5 +1,7 @@
 """Adam updates, parameter initialization, and the checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,31 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="hash"):
             load_checkpoint(path)
 
+    def test_non_object_manifest_rejected(self, tmp_path):
+        path = tmp_path / "list"
+        path.write_bytes(b'["hgmts-checkpoint"]\n')
+        with pytest.raises(ContractError, match="not a hgmts-checkpoint file"):
+            load_checkpoint(path)
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bogus"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda m: m.pop("config_hash"), "config_hash"),
+        (lambda m: m.pop("config"), "config"),
+        (lambda m: m.pop("params"), "params"),
+        (lambda m: m.update(version=99), "version"),
+        (lambda m: m.update(dtype=">f4"), "dtype"),
+    ])
+    def test_bad_manifest_field_rejected_naming_it(self, tmp_path, edit, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)}, {"a": 1})
+        header, _, payload = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(ContractError, match=field):
             load_checkpoint(path)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ContractError, NumericError, ShapeMismatch
-from .config import RunSpec, load_run_spec
+from .autodiff import ContractError
+from .config import RunSpec, load_run_spec, set_pairs
 from .data import load_csv, manifest
 from .experiments import EvalReport, grid_run, prepare_windows, report_row, run_one
 from .latent_graph import dump_edges, gamma_count
@@ -48,38 +48,21 @@ def _out_dir(args, spec: RunSpec) -> Path:
     return p
 
 
-def _synth_kwargs(spec: RunSpec) -> dict:
-    """``generate_coupled`` arguments from the run's synth_* keys."""
-    given = {"n": 8, "length": 2000, "seed": 0, "lag": 30, "noise": 0.3, **spec.synth}
-    return dict(n_series=given["n"], length=given["length"], seed=given["seed"],
-                coupling_lag=given["lag"], noise_std=given["noise"])
-
-
 def _load_dataset(spec: RunSpec):
     source = spec.dataset
     if source is None:
         raise ContractError("no dataset configured; set 'dataset' in the config or pass --data")
     if source == "synthetic":
         named = {"name": spec.name} if spec.name else {}
-        return generate_coupled(**_synth_kwargs(spec), **named)[0]
-    if not Path(source).exists():
+        return generate_coupled(**spec.synth, **named)[0]
+    if not Path(source).is_file():
         raise FileNotFoundError(f"dataset file not found: {source}")
     return load_csv(source, name=spec.name or Path(source).stem, frequency=spec.frequency,
                     forward_fill=spec.forward_fill)
 
 
-def _overrides(args) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ContractError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    return pairs
-
-
 def cmd_train(args) -> int:
-    spec = load_run_spec(args.config, _overrides(args))
+    spec = load_run_spec(args.config, set_pairs(args.set))
     ds = _load_dataset(spec)
     out = _out_dir(args, spec)
     model_cfg = spec.model_config(ds.n_series)
@@ -107,16 +90,15 @@ def _checkpoint_windows(args):
     wins for its key, and a dataset pair (--data) also drops the recorded name,
     so another file is never reported under the run's name."""
     model, run_info = load_model(args.checkpoint)
-    config = getattr(args, "config", None)
-    pairs = _overrides(args)
-    if config is None:
+    pairs = set_pairs(args.set)
+    if args.config is None:
         if run_info and "settings" not in run_info:
             raise ContractError(f"{args.checkpoint} records its run without settings (an older "
                                 "checkpoint); pass --config with the run's config")
         recorded = {key: value for key, value in run_info.get("settings", {}).items()
                     if not (key == "name" and "dataset" in pairs)}
         pairs = {**recorded, **pairs}
-    spec = load_run_spec(config, pairs)
+    spec = load_run_spec(args.config, pairs)
     ds = _load_dataset(spec)
     if ds.n_series != model.cfg.n_nodes:
         raise ContractError(
@@ -158,7 +140,7 @@ def _dump_predictions(windows, preds, path):
 def cmd_grid(args) -> int:
     """sweep-gamma and ablate: one training per (horizon, grid value, seed)."""
     field, key, default, stem = GRIDS[args.command]
-    spec = load_run_spec(args.config, _overrides(args))
+    spec = load_run_spec(args.config, set_pairs(args.set))
     ds = _load_dataset(spec)
     values = getattr(spec, key) or default
     horizons = spec.horizons or [spec.model_fields["horizon"]]
@@ -178,8 +160,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    spec = load_run_spec(args.config, _overrides(args))
-    ds, coupling = generate_coupled(**_synth_kwargs(spec))
+    spec = load_run_spec(args.config, set_pairs(args.set))
+    ds, coupling = generate_coupled(**spec.synth)
     out = _out_dir(args, spec)
     path = out / (args.file or "synthetic.csv")
     write_csv(ds, path)
@@ -221,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, action=_SettingFlag, key=key, const=const, metavar=metavar,
                        help=f"{about} (--set {key}={const or metavar})".lstrip(), **kwargs)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, reads_data=True):
         p.add_argument("--config", required=config_required, help="key=value config file")
-        setting(p, "--data", "dataset", "dataset CSV path")
+        if reads_data:
+            setting(p, "--data", "dataset", "dataset CSV path")
         p.add_argument("--out", help=f"output directory (or ${OUT_DIR_ENV})")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="set a config key; pairs and setting flags apply in order")
@@ -258,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("synth-gen", help="generate the coupled synthetic dataset")
-    p.add_argument("--config")
-    p.add_argument("--out")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    common(p, config_required=False, reads_data=False)
     p.add_argument("--file", help="output CSV name (default synthetic.csv)")
     for flag in ("n", "length", "seed", "lag", "noise"):
         setting(p, f"--{flag}", f"synth_{flag}")
@@ -268,11 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect-graph", help="dump inferred adjacencies for one window")
     p.add_argument("--checkpoint", required=True)
-    setting(p, "--data", "dataset", "dataset CSV path")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
     p.add_argument("--window", type=int, default=0)
-    p.add_argument("--out")
     p.add_argument("--file", help="output CSV name (default graph.csv)")
+    common(p, config_required=False)
     p.set_defaults(func=cmd_inspect_graph)
 
     return parser
@@ -286,11 +266,14 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ContractError, ShapeMismatch, NumericError, TrainingDiverged,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, TrainingDiverged, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

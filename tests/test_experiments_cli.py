@@ -1,9 +1,13 @@
 """Sweeps, ablations, report files, and the command-line surface."""
 
 import argparse
+import dataclasses
+import inspect
 import itertools
 import json
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 
 import hgmts.cli
 from hgmts.cli import _SettingFlag, build_parser, main
+from hgmts.config import _KEYS, RunSpec, load_run_spec
 from hgmts.data import SplitSpec, load_csv
 from hgmts.experiments import REPORT_HEADER, grid_run, prepare_windows
 from hgmts.latent_graph import dump_edges, gamma_count
@@ -322,6 +327,28 @@ class TestCli:
         errors = capsys.readouterr().err.splitlines()
         assert errors == ["error: unknown config key 'bogus' in --set"] * 2
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--set", "K4"], "error: --set: expected 'key = value', got 'K4'"),
+        (["--config", "bad.cfg"], "error: bad.cfg:2: expected 'key = value', got 'K4'"),
+    ])
+    def test_malformed_pair_names_its_source(self, workdir, capsys, flags, error):
+        (workdir / "bad.cfg").write_text("dataset = series.csv\nK4  # no '='\n")
+        assert main(["train", "--config", "run.cfg", "--out", "out", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+
+    def test_module_runs_as_a_script(self, workdir):
+        src = Path(hgmts.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "hgmts.cli", "synth-gen", "--out", "out",
+                               "--n", "3", "--length", "40"], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        lines = (workdir / "out" / "synthetic.csv").read_text().splitlines()
+        ds, _ = generate_coupled(n_series=3, length=40, noise_std=0.3)
+        assert len(lines) == 1 + 40
+        assert lines[-1].split(",")[1:] == [repr(float(v)) for v in ds.values[-1]]
+
     def test_synth_gen_writes_csv_and_coupling(self, workdir):
         code = main(["synth-gen", "--out", "out", "--n", "5", "--length", "60",
                      "--seed", "3", "--file", "gen.csv"])
@@ -363,6 +390,22 @@ class TestCli:
                         for s, b, p, window, adj in ctx.graph_records
                         if window == w for i, j, weight in dump_edges(adj)]
             assert (workdir / "out" / "graph.csv").read_text().splitlines()[1:] == expected
+
+    def test_inspect_graph_set_picks_the_split(self, workdir):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        assert main(["inspect-graph", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        recorded = (workdir / "out" / "graph.csv").read_text()
+        assert main(["inspect-graph", "--checkpoint", "out/model.ckpt", "--out", "out",
+                     "--set", "split=0.5,0.2,0.3"]) == 0
+        model, _ = load_model(workdir / "out" / "model.ckpt")
+        test = prepare_windows(load_csv(workdir / "series.csv"), SplitSpec(0.5, 0.2, 0.3),
+                               model.cfg.input_len, model.cfg.horizon).test
+        _, _, ctx = model.forward_batch(np.stack([x for x, _ in test]), collect=True)
+        expected = [f"{s},{b},{p},{i},{j},{weight!r}" for s, b, p, window, adj in ctx.graph_records
+                    if window == 0 for i, j, weight in dump_edges(adj)]
+        dumped = (workdir / "out" / "graph.csv").read_text()
+        assert dumped.splitlines()[1:] == expected
+        assert dumped != recorded
 
     def test_dump_predictions_match_the_batched_forecasts(self, workdir):
         assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
@@ -415,6 +458,10 @@ class TestCli:
     def test_missing_dataset_fails_nonzero(self, workdir):
         (workdir / "missing.cfg").write_text("dataset = gone.csv\nK = 4\nL = 8\n")
         assert main(["train", "--config", "missing.cfg"]) == 1
+
+    def test_directory_as_dataset_fails_without_a_traceback(self, workdir, capsys):
+        assert main(["train", "--config", "run.cfg", "--out", "out", "--data", "."]) == 1
+        assert "dataset file not found" in capsys.readouterr().err
 
     def test_no_subcommand_fails(self, workdir):
         assert main([]) != 0
@@ -500,6 +547,27 @@ class TestRunRecord:
         assert main(["eval", "--checkpoint", "old.ckpt", "--config", "run.cfg",
                      "--out", "out"]) == 0
 
+    def test_inspect_graph_reads_an_old_record_with_a_config(self, workdir):
+        Model(fast_model_cfg(4)).save(workdir / "old.ckpt", run_info={
+            "dataset": "series.csv", "name": "tiny", "split": [0.7, 0.1, 0.2]})
+        assert main(["inspect-graph", "--checkpoint", "old.ckpt", "--config", "run.cfg",
+                     "--out", "out"]) == 0
+        assert (workdir / "out" / "graph.csv").read_text().startswith("stack,block,")
+
+    def test_a_recorded_dataset_path_reads_from_another_directory(self, workdir, monkeypatch):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        assert main(["inspect-graph", "--checkpoint", "out/model.ckpt", "--out", "out"]) == 0
+        _, run_info = load_model(workdir / "out" / "model.ckpt")
+        assert os.path.samefile(run_info["settings"]["dataset"], workdir / "series.csv")
+        elsewhere = workdir / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["eval", "--checkpoint", "../out/model.ckpt", "--out", "."]) == 0
+        assert main(["inspect-graph", "--checkpoint", "../out/model.ckpt", "--out", "."]) == 0
+        trained = report_row_fields(workdir / "out" / "report.csv")
+        assert report_row_fields(elsewhere / "eval_test.csv")[:7] == trained[:7]  # name .. mae
+        assert (elsewhere / "graph.csv").read_text() == (workdir / "out" / "graph.csv").read_text()
+
     def test_empty_run_record_replays_nothing(self, workdir, capsys):
         Model(fast_model_cfg(4)).save(workdir / "bare.ckpt")
         capsys.readouterr()
@@ -539,3 +607,43 @@ def test_readme_flag_table_matches_the_parser():
               for a in sub._actions if isinstance(a, _SettingFlag)
               for flag in a.option_strings}
     assert readme_flag_rows() == parsed
+
+
+# every settings key -> (sample text, the value it parses to)
+KEY_SAMPLES = {
+    "L": ("12", 12), "K": ("5", 5), "D": ("6", 6), "hidden": ("7", 7), "kernel": ("5", 5),
+    "padding": ("zero", "zero"), "gamma": ("0.25", 0.25), "c": ("2.5", 2.5),
+    "rounds": ("2", 2), "stacks": ("2", 2), "blocks": ("3", 3), "variant": ("hgmts4", "hgmts4"),
+    "seed": ("7", 7), "lr0": ("0.002", 0.002), "halve_every": ("3", 3), "patience": ("4", 4),
+    "batch": ("9", 9), "max_epochs": ("6", 6), "backcast_loss_weight": ("0.5", 0.5),
+    "synth_n": ("3", 3), "synth_length": ("50", 50), "synth_seed": ("2", 2),
+    "synth_lag": ("4", 4), "synth_noise": ("0.2", 0.2),
+    "dataset": ("synthetic", "synthetic"), "name": ("mine", "mine"),
+    "frequency": ("daily", "daily"), "split": ("0.5,0.2,0.3", SplitSpec(0.5, 0.2, 0.3)),
+    "out_dir": ("runs", "runs"), "raw_space": ("true", True), "forward_fill": ("yes", True),
+    "seeds": ("1, 2", [1, 2]), "gammas": ("0.2,0.4", [0.2, 0.4]), "horizons": ("4,8", [4, 8]),
+    "variants": ("hgmts1,hgmts4", ["hgmts1", "hgmts4"]),
+}
+
+
+def test_every_settings_row_names_an_existing_target():
+    targets = {"model_fields": {f.name for f in dataclasses.fields(ModelConfig)},
+               "train_fields": {f.name for f in dataclasses.fields(TrainConfig)},
+               "synth": set(inspect.signature(generate_coupled).parameters),
+               None: {f.name for f in dataclasses.fields(RunSpec)}}
+    assert [key for key, (section, name, _) in _KEYS.items()
+            if name not in targets[section]] == []
+    assert set(KEY_SAMPLES) == set(_KEYS)
+
+
+@pytest.mark.parametrize("key", list(KEY_SAMPLES))
+def test_a_setting_lands_on_its_target(key):
+    text, expected = KEY_SAMPLES[key]
+    section, name, _ = _KEYS[key]
+    spec = load_run_spec(None, {key: text})
+    landed = {"model_fields": lambda: getattr(spec.model_config(4), name),
+              "train_fields": lambda: getattr(spec.train_config(), name),
+              "synth": lambda: spec.synth[name],
+              None: lambda: getattr(spec, name)}[section]()
+    assert landed == expected
+    assert spec.pairs == {key: text}

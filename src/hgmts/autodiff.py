@@ -1,10 +1,14 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
-Every operation returns a new :class:`Tensor` that remembers its parents and
-how to push an incoming gradient back to them.  Calling :func:`backward` on a
-scalar walks the recorded graph once in reverse topological order.  The graph
-(the "tape") is rebuilt from scratch on every forward pass, so ordinary Python
-control flow in model code needs no special handling.
+While recording is on, every operation returns a new :class:`Tensor` that
+remembers its parents and how to push an incoming gradient back to them.
+Calling :func:`backward` on a scalar walks the recorded graph once in reverse
+topological order.  The graph (the "tape") is rebuilt from scratch on every
+recorded forward pass, so ordinary Python control flow in model code needs no
+special handling.  Inside ``with recording(False)`` an operation computes the
+same values but keeps no parents and no gradient function, so its closure and
+the arrays the closure saved die with the operation; recording is a per-thread
+setting and is on by default.
 
 Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
 shape or a tensor and a scalar on the right; anything else raises
@@ -19,7 +23,9 @@ speed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
 
 import numpy as np
 
@@ -36,6 +42,24 @@ class ContractError(ValueError):
     """An operation precondition was violated."""
 
 
+class _Recording(threading.local):
+    on = True  # each thread starts recording
+
+
+_recording = _Recording()
+
+
+@contextlib.contextmanager
+def recording(on: bool):
+    """Record a tape (``on``) or not, on this thread only, inside the block."""
+    before = _recording.on
+    _recording.on = on
+    try:
+        yield
+    finally:
+        _recording.on = before
+
+
 class Tensor:
     """A node of the differentiation tape.
 
@@ -43,14 +67,19 @@ class Tensor:
     and is set by the first backward pass that reaches it; op results keep
     ``grad`` None.
     Leaves are built directly from data; op results carry a gradient
-    function aligned with their parent tuple.
+    function aligned with their parent tuple, unless they were computed while
+    recording was off: those keep no parents and no gradient function, and
+    :func:`backward` refuses to pass through them.
     """
 
-    __slots__ = ("values", "grad", "_parents", "_grad_fn")
+    __slots__ = ("values", "grad", "_parents", "_grad_fn", "_untaped")
 
     def __init__(self, values, _parents=(), _grad_fn=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
+        self._untaped = not _recording.on if _parents else False
+        if self._untaped:
+            _parents, _grad_fn = (), None
         self._parents = _parents
         self._grad_fn = _grad_fn
 
@@ -95,15 +124,25 @@ def backward(loss: Tensor) -> None:
     add another full pass of gradients (each call contributes exactly one
     d(loss)/d(leaf) per leaf).  Gradient buffers are accumulated by
     reassignment and may share storage, so treat ``.grad`` as read-only.
+
+    ``loss`` must be an op result, and every op between it and the leaves must
+    have been recorded; otherwise no parameter would get a gradient.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if loss._grad_fn is None and not loss._untaped:
+        raise ContractError("backward requires an op result, got a leaf tensor")
     order = _topo_order(loss)
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
         g = pending.pop(id(node), None)
         if g is None:
             continue
+        if node._untaped:
+            raise ContractError(
+                "backward reached a tensor computed without a tape: it was computed while "
+                "recording was off, as at inference (Model.forward_batch records a tape only "
+                "when given a training step)")
         if node._grad_fn is None:
             node.grad = g if node.grad is None else node.grad + g
             continue

@@ -77,20 +77,24 @@ def load_csv(path, name: str | None = None, frequency: str | None = None,
         if len(cells) != len(channels) + 1:
             raise ContractError(f"{path}: row {lineno} has {len(cells)} cells, expected {len(channels) + 1}")
         stamps.append(cells[0].strip())
-        row = np.empty(len(channels))
-        for ci, cell in enumerate(cells[1:]):
-            cell = cell.strip()
-            if cell == "":
-                if forward_fill and rows:
-                    row[ci] = rows[-1][ci]
-                    continue
-                raise ContractError(f"{path}: missing value at row {lineno}, column {channels[ci]!r}")
-            try:
-                row[ci] = float(cell)
-            except ValueError:
-                raise ContractError(
-                    f"{path}: non-numeric value {cell!r} at row {lineno}, column {channels[ci]!r}"
-                ) from None
+        try:
+            row = np.fromiter(map(float, cells[1:]), np.float64, len(channels))
+        except ValueError:  # an empty or non-numeric cell: find it one cell at a time
+            row = np.empty(len(channels))
+            for ci, cell in enumerate(cells[1:]):
+                cell = cell.strip()
+                if cell == "":
+                    if forward_fill and rows:
+                        row[ci] = rows[-1][ci]
+                        continue
+                    raise ContractError(
+                        f"{path}: missing value at row {lineno}, column {channels[ci]!r}")
+                try:
+                    row[ci] = float(cell)
+                except ValueError:
+                    raise ContractError(
+                        f"{path}: non-numeric value {cell!r} at row {lineno}, column {channels[ci]!r}"
+                    ) from None
         rows.append(row)
     values = np.asarray(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(values))

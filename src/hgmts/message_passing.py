@@ -104,11 +104,12 @@ class MessagePassingUnit:
         p = hv @ w1.values
         pre = p[query_rows][:, :, None, :] - p[key_rows]
         pre += b1.values
-        out = np.maximum(pre, 0.0)
+        out = np.maximum(pre, 0.0, out=pre)  # backward reads only the mask out > 0
+        p_shape = p.shape
 
         def grad_fn(g):
-            d_pre = g * (pre > 0)
-            d_p = np.zeros_like(p)
+            d_pre = g * (out > 0)
+            d_p = np.zeros(p_shape)
             d_query = np.einsum("bqkh->bqh", d_pre)
             d_p[query_rows] = d_query
             # queries share keys; one query at a time keeps each write free of

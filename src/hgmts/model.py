@@ -133,7 +133,8 @@ class ForwardContext:
     """One pass's graphs and graph records; it dies with the pass, the model keeps nothing.
 
     ``step`` is the training step (None at inference); with the model seed and
-    the pathway's place it is all that seeds a graph's key sample.
+    the pathway's place it is all that seeds a graph's key sample.  Only a pass
+    with a step records a tape.
     """
 
     step: int | None = None
@@ -234,13 +235,15 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def forward_batch(self, windows, collect: bool = False, step: int | None = None):
-        """Run a batch of (N, L) windows stacked into one tape.
+        """Run a batch of (N, L) windows stacked into one pass.
 
         Returns (forecast rows x K, residual rows x L, ctx) where rows are the
         windows' node rows concatenated in order.  A pure function of the
         parameters, the windows and ``step``: training passes its step count so
         key samples vary between steps; at inference (step None) each window's
-        rows do not depend on the call history or on the other windows.
+        rows do not depend on the call history or on the other windows.  The
+        pass records a tape exactly when ``step`` is given: an inference pass
+        computes the same values and keeps no parents, closures or saved arrays.
         """
         arr = np.asarray(windows, dtype=np.float64)
         if arr.ndim == 2:
@@ -255,11 +258,12 @@ class Model:
         ctx = ForwardContext(step=step, collect=collect)
         residual = x
         forecast = None
-        for stack in self.stacks:
-            for block in stack:
-                out = block.forward(residual, ctx)
-                residual = ad.sub(residual, out.backcast)
-                forecast = out.forecast if forecast is None else ad.add(forecast, out.forecast)
+        with ad.recording(step is not None):
+            for stack in self.stacks:
+                for block in stack:
+                    out = block.forward(residual, ctx)
+                    residual = ad.sub(residual, out.backcast)
+                    forecast = out.forecast if forecast is None else ad.add(forecast, out.forecast)
         return forecast, residual, ctx
 
     def forward(self, x) -> Tensor:

@@ -181,7 +181,8 @@ def scores(windows: list, preds, stats: NormalizationStats | None = None) -> tup
 
 def forecasts(model: Model, windows: list, batch_size: int = 32):
     """Each (x, y) window's (N, K) forecast, from one batched forward pass per
-    ``batch_size`` windows; each pass's tape dies before the next one starts."""
+    ``batch_size`` windows; the passes record no tape, so each pass's arrays
+    die before the next one starts."""
     for lo in range(0, len(windows), batch_size):
         xs = np.stack([x for x, _ in windows[lo : lo + batch_size]])
         yield from model.forward_batch(xs)[0].values.reshape(len(xs), model.cfg.n_nodes, -1)

@@ -99,7 +99,7 @@ def model_gradcheck(cfg, jitter_seed, x_seed, max_per_leaf):
         probe = rng.uniform(-1, 1, (cfg.n_nodes, cfg.horizon))
 
         def loss():
-            return ad.sum(ad.mul(model.forward(x), Tensor(probe)))
+            return ad.sum(ad.mul(model.forward_batch(x, step=0)[0], Tensor(probe)))
 
         leaves = [p.tensor for p in model.parameters()]
         worst = finite_diff_max_err(loss, leaves, max_per_leaf=max_per_leaf,

@@ -98,6 +98,23 @@ class TestBackward:
         with pytest.raises(ContractError):
             ad.backward(Tensor([1.0, 2.0]))
 
+    def test_scalar_leaf_loss_rejected(self):
+        with pytest.raises(ContractError, match="leaf"):
+            ad.backward(Tensor(2.0))
+
+    def test_untaped_result_keeps_no_tape_and_is_refused(self):
+        x = Tensor(3.0)
+        with ad.recording(False):
+            sq = ad.mul(x, x)
+        assert sq._parents == () and sq._grad_fn is None
+        np.testing.assert_array_equal(sq.values, 9.0)
+        for loss in (sq, ad.add(sq, 1.0)):
+            with pytest.raises(ContractError, match="without a tape"):
+                ad.backward(loss)
+        assert x.grad is None
+        ad.backward(ad.mul(x, x))  # recording is back on after the block
+        np.testing.assert_allclose(x.grad, 6.0)
+
     def test_shared_subexpression(self):
         # d/dx of (x*x + x*x) = 4x
         x = Tensor(1.5)

@@ -40,6 +40,12 @@ class TestLoadCsv:
         with pytest.raises(ContractError, match=r"row 2.*'temp'"):
             load_csv(path)
 
+    def test_bad_last_cell_of_a_late_row_named(self, tmp_path):
+        rows = "".join(f"{t},{t}.5,{2 * t}.25,{3 * t}\n" for t in range(1, 40))
+        path = write(tmp_path, f"ts,a,b,c\n{rows}40,1.0,2.0,x7\n")
+        with pytest.raises(ContractError, match=r"non-numeric value 'x7' at row 40, column 'c'"):
+            load_csv(path)
+
     def test_non_finite_cells_name_row_and_column(self, tmp_path):
         path = write(tmp_path, "ts,a,b\n1,1.0,nan\n2,inf,2.0\n")
         with pytest.raises(ContractError, match=r"non-finite.*row 1.*'b'"):

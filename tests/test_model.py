@@ -177,6 +177,12 @@ class TestModelForward:
         with pytest.raises(ContractError):
             model.forward(np.zeros((4, 8)))
 
+    def test_inference_pass_cannot_be_differentiated(self):
+        model = tiny_model()
+        forecast = model.forward_batch(rand_window(model.cfg))[0]
+        with pytest.raises(ContractError, match="training step"):
+            ad.backward(ad.mean(ad.mul(forecast, forecast)))
+
     def test_end_to_end_tiny_gradient_check(self):
         model = tiny_model(seed=11)
         jitter_params(model.registry, seed=12)
@@ -184,7 +190,7 @@ class TestModelForward:
         probe = np.random.default_rng(14).uniform(-1, 1, (3, 4))
 
         def loss():
-            return ad.sum(ad.mul(model.forward(x), Tensor(probe)))
+            return ad.sum(ad.mul(model.forward_batch(x, step=0)[0], Tensor(probe)))
 
         leaves = [p.tensor for p in model.parameters()]
         assert finite_diff_max_err(loss, leaves, max_per_leaf=4) < 1e-4
@@ -447,6 +453,30 @@ class TestStatelessForward:
         for i, expected in enumerate(serial):
             for got in results[i]:
                 np.testing.assert_array_equal(got, expected)
+
+    def test_recording_switch_is_per_thread(self):
+        """Another thread's inference leaves this thread's training pass recorded."""
+        model = pure_model("hgmts1")
+        jitter_params(model.registry, seed=8)
+        entered, release = threading.Event(), threading.Event()
+
+        def idle_without_tape():
+            with ad.recording(False):
+                entered.set()
+                release.wait(timeout=60)
+
+        thread = threading.Thread(target=idle_without_tape)
+        thread.start()
+        try:
+            assert entered.wait(timeout=60)
+            forecast = model.forward_batch(rand_windows(model.cfg, 2), step=0)[0]
+            ad.backward(ad.mean(ad.mul(forecast, forecast)))
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        heads = [p.tensor.grad for name, p in model.registry.params.items() if ".forecast." in name]
+        assert heads and all(g is not None and g.any() for g in heads)
 
     def test_training_step_changes_the_key_sample(self):
         """Training passes its step count, so its key samples still vary per step."""

@@ -187,10 +187,15 @@ class TestTrainLoop:
         assert raw_mse > 0 and norm_mse > 0 and raw_mse != norm_mse
 
 
+def has_no_tape(tensor) -> bool:
+    return tensor._parents == () and tensor._grad_fn is None
+
+
 class TestTapeLifetime:
-    """A pass's tape is freed before the next forward pass starts, so two passes'
-    tapes never share the peak.  Tensors take no weak references (__slots__), so
-    the forecast's and the residual's gradient functions stand in for the tape."""
+    """Inference passes record no tape at all.  A training step's tape is freed
+    before the next forward pass starts, so two passes' tapes never share the
+    peak.  Tensors take no weak references (__slots__), so the forecast's and
+    the residual's gradient functions stand in for the tape."""
 
     @pytest.mark.parametrize("call", ["train", "evaluate"])
     def test_earlier_passes_are_dead_when_the_next_forward_starts(self, call, monkeypatch):
@@ -198,11 +203,16 @@ class TestTapeLifetime:
         forward_batch = Model.forward_batch
         earlier, alive_at_entry = [], []
 
-        def spy(self, *args, **kwargs):
+        def spy(self, *args, step=None, **kwargs):
             alive_at_entry.append(sum(ref() is not None for ref in earlier))
-            out = forward_batch(self, *args, **kwargs)
+            out = forward_batch(self, *args, step=step, **kwargs)
             forecast, residual, ctx = out
-            earlier.extend(weakref.ref(obj) for obj in (forecast._grad_fn, residual._grad_fn, ctx))
+            if step is None:
+                assert has_no_tape(forecast) and has_no_tape(residual)
+                earlier.append(weakref.ref(ctx))
+            else:
+                earlier.extend(weakref.ref(obj)
+                               for obj in (forecast._grad_fn, residual._grad_fn, ctx))
             return out
 
         monkeypatch.setattr(Model, "forward_batch", spy)
@@ -213,6 +223,24 @@ class TestTapeLifetime:
             evaluate(model, prepared.test[:24], batch_size=8)
         assert len(alive_at_entry) == (10 if call == "train" else 3)
         assert alive_at_entry == [0] * len(alive_at_entry)
+
+    def test_inference_outputs_and_graphs_hold_no_tape(self, monkeypatch):
+        model, prepared = small_setup()
+        forward_batch = Model.forward_batch
+        outputs = []
+
+        def spy(self, *args, **kwargs):
+            outputs.append(forward_batch(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(Model, "forward_batch", spy)
+        evaluate(model, prepared.test[:24], batch_size=8)
+        model.forward_batch(np.stack([x for x, _ in prepared.test[:3]]), collect=True)
+        assert len(outputs) == 4 and outputs[-1][2].graph_records
+        for forecast, residual, ctx in outputs:
+            graphs = [g.weights for g in ctx.graphs.values()]
+            records = [adj.weights for *_, adj in ctx.graph_records]
+            assert graphs and all(map(has_no_tape, [forecast, residual, *graphs, *records]))
 
     def test_step_tape_is_dead_when_adam_starts(self, monkeypatch):
         model, prepared = small_setup()

@@ -6,9 +6,9 @@ Calling :func:`backward` on a scalar walks the recorded graph once in reverse
 topological order.  The graph (the "tape") is rebuilt from scratch on every
 recorded forward pass, so ordinary Python control flow in model code needs no
 special handling.  Inside ``with recording(False)`` an operation computes the
-same values but keeps no parents and no gradient function, so its closure and
-the arrays the closure saved die with the operation; recording is a per-thread
-setting and is on by default.
+same values but keeps no parents, and its gradient function is one shared
+refusal, so its closure and the arrays the closure saved die with the
+operation; recording is a per-thread setting and is on by default.
 
 Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
 shape or a tensor and a scalar on the right; anything else raises
@@ -23,7 +23,6 @@ speed.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import threading
 
@@ -49,37 +48,49 @@ class _Recording(threading.local):
 _recording = _Recording()
 
 
-@contextlib.contextmanager
-def recording(on: bool):
-    """Record a tape (``on``) or not, on this thread only, inside the block."""
-    before = _recording.on
-    _recording.on = on
-    try:
-        yield
-    finally:
-        _recording.on = before
+class recording:
+    """Record a tape (``on``) or not, on this thread only, inside the ``with`` block."""
+
+    def __init__(self, on: bool):
+        self.on = on
+
+    def __enter__(self):
+        self.before = _recording.on
+        _recording.on = self.on
+
+    def __exit__(self, *exc):
+        _recording.on = self.before
+
+
+def _no_tape(g):
+    """The gradient function of every op result computed while recording was off."""
+    raise ContractError(
+        "backward reached a tensor computed without a tape: it was computed while "
+        "recording was off, as at inference (Model.forward_batch records a tape only "
+        "when given a training step)")
 
 
 class Tensor:
     """A node of the differentiation tape.
 
-    ``values`` is a float64 ndarray. On a leaf, ``grad`` has the same shape
-    and is set by the first backward pass that reaches it; op results keep
-    ``grad`` None.
-    Leaves are built directly from data; op results carry a gradient
-    function aligned with their parent tuple, unless they were computed while
-    recording was off: those keep no parents and no gradient function, and
-    :func:`backward` refuses to pass through them.
+    ``values`` is a float64 ndarray. A leaf (a parameter or data) is built
+    directly from values, with no parents and no gradient function; its
+    ``grad`` has the same shape and is set by the first backward pass that
+    reaches it.  An op result keeps ``grad`` None and carries a gradient
+    function aligned with its parent tuple, unless it was computed while
+    recording was off: then it keeps no parents, and its gradient function
+    refuses the backward pass that reaches it.
     """
 
-    __slots__ = ("values", "grad", "_parents", "_grad_fn", "_untaped")
+    __slots__ = ("values", "grad", "_parents", "_grad_fn")
 
     def __init__(self, values, _parents=(), _grad_fn=None):
-        self.values = np.asarray(values, dtype=np.float64)
+        if not _parents or type(values) is not np.ndarray:  # leaves; 0-d op results
+            values = np.asarray(values, dtype=np.float64)
+        if _parents and not _recording.on:
+            _parents, _grad_fn = (), _no_tape
+        self.values = values
         self.grad = None
-        self._untaped = not _recording.on if _parents else False
-        if self._untaped:
-            _parents, _grad_fn = (), None
         self._parents = _parents
         self._grad_fn = _grad_fn
 
@@ -126,11 +137,11 @@ def backward(loss: Tensor) -> None:
     reassignment and may share storage, so treat ``.grad`` as read-only.
 
     ``loss`` must be an op result, and every op between it and the leaves must
-    have been recorded; otherwise no parameter would get a gradient.
+    have been recorded: a tapeless op's gradient function raises ContractError.
     """
     if loss.values.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._grad_fn is None and not loss._untaped:
+    if loss._grad_fn is None:
         raise ContractError("backward requires an op result, got a leaf tensor")
     order = _topo_order(loss)
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
@@ -138,11 +149,6 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node._untaped:
-            raise ContractError(
-                "backward reached a tensor computed without a tape: it was computed while "
-                "recording was off, as at inference (Model.forward_batch records a tape only "
-                "when given a training step)")
         if node._grad_fn is None:
             node.grad = g if node.grad is None else node.grad + g
             continue
@@ -279,10 +285,9 @@ def sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:  
     shape = a.values.shape
 
     def grad_fn(g):
-        gg = np.asarray(g)
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return Tensor(out, (a,), grad_fn)
 
@@ -293,10 +298,9 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     count = a.values.size if axis is None else shape[axis]
 
     def grad_fn(g):
-        gg = np.asarray(g)
         if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, shape) / count,)
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape) / count,)
 
     return Tensor(out, (a,), grad_fn)
 

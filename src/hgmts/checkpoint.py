@@ -45,7 +45,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
-    manifest = json.loads(header.decode())
+    try:
+        manifest = json.loads(header.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):  # a CSV, a binary file
+        manifest = None
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise ContractError(f"not a {FORMAT_NAME} file: {path}")
     for key in ("config_hash", "config", "params"):

@@ -39,7 +39,7 @@ def aggregate(hidden: Tensor, weights: Tensor, out_layer: Linear) -> Tensor:
     """
     av, wv = hidden.values, weights.values
     b, q, k, width = av.shape
-    w2, b2 = out_layer.w.tensor, out_layer.b.tensor
+    w2, b2 = out_layer.w, out_layer.b
     summed = np.einsum("bqk,bqkh->bqh", wv, av).reshape(b * q, width)
     w_sum = wv.sum(axis=2).reshape(b * q, 1)
     out = summed @ w2.values
@@ -99,7 +99,7 @@ class MessagePassingUnit:
         key_rows (B, q, k) are distinct within each query's row.
         """
         l1 = self.message_net.l1
-        w1, b1 = l1.w.tensor, l1.b.tensor
+        w1, b1 = l1.w, l1.b
         hv = h.values
         p = hv @ w1.values
         pre = p[query_rows][:, :, None, :] - p[key_rows]

@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .decomposition import decompose
 from .latent_graph import GraphBatch, build_sparse_adjacency_batch, gamma_count, sample_count
 from .message_passing import MessagePassingUnit
-from .nn import MLP2, Parameter, ParamRegistry
+from .nn import MLP2, ParamRegistry
 
 VARIANT_IDS = ("hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6")
 
@@ -150,8 +150,8 @@ class Pathway:
         self.graph_key = graph_key
         self.unit = MessagePassingUnit(reg, prefix, cfg.input_len, d, hid, single_gru=single_gru,
                                        messages=graph_key is not None)
-        self.wq: Parameter | None = reg.weight(f"{prefix}.wq", d, d) if owns_graph else None
-        self.wk: Parameter | None = reg.weight(f"{prefix}.wk", d, d) if owns_graph else None
+        self.wq: Tensor | None = reg.weight(f"{prefix}.wq", d, d) if owns_graph else None
+        self.wk: Tensor | None = reg.weight(f"{prefix}.wk", d, d) if owns_graph else None
         self.backcast_head = MLP2(reg, f"{prefix}.backcast", d, hid, cfg.input_len)
         self.forecast_head = MLP2(reg, f"{prefix}.forecast", d, hid, cfg.horizon)
 
@@ -186,7 +186,7 @@ class Block:
             spawn_key=() if ctx.step is None else (ctx.step,),
         )
         graphs = build_sparse_adjacency_batch(
-            h, pw.wq.tensor, pw.wk.tensor, cfg.n_nodes, cfg.selection_size(), seed
+            h, pw.wq, pw.wk, cfg.n_nodes, cfg.selection_size(), seed
         )
         if ctx.collect:
             ctx.graph_records.extend(
@@ -246,6 +246,9 @@ class Model:
         computes the same values and keeps no parents, closures or saved arrays.
         """
         arr = np.asarray(windows, dtype=np.float64)
+        if arr.ndim not in (2, 3):
+            raise ContractError(f"forward_batch takes an (N, L) window or a (B, N, L) batch, "
+                                f"got shape {arr.shape}")
         if arr.ndim == 2:
             arr = arr[None]
         batch, n_nodes, length = arr.shape
@@ -272,8 +275,8 @@ class Model:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def parameters(self) -> list[Parameter]:
-        return self.registry.all()
+    def parameters(self) -> dict[str, Tensor]:
+        return self.registry.params
 
     def graph_builds_per_window(self) -> int:
         """How many adjacencies one forward pass infers per window."""

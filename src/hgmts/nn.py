@@ -13,46 +13,25 @@ from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 
 
-class Parameter:
-    """A named leaf tensor. Names are dotted paths, unique within a model."""
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, values: np.ndarray):
-        self.name = name
-        self.tensor = Tensor(values)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.tensor.values
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 class ParamRegistry:
-    """Creates and tracks every parameter of a model, keyed by unique name."""
+    """Every parameter of a model: a leaf tensor keyed by a unique dotted name."""
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
 
-    def _register(self, name: str, values: np.ndarray) -> Parameter:
+    def _register(self, name: str, values: np.ndarray) -> Tensor:
         if name in self.params:
             raise ContractError(f"duplicate parameter name: {name}")
-        p = Parameter(name, values)
-        self.params[name] = p
-        return p
+        self.params[name] = Tensor(values)
+        return self.params[name]
 
-    def weight(self, name: str, fan_in: int, fan_out: int) -> Parameter:
+    def weight(self, name: str, fan_in: int, fan_out: int) -> Tensor:
         bound = 1.0 / np.sqrt(fan_in)
         return self._register(name, self._rng.uniform(-bound, bound, size=(fan_in, fan_out)))
 
-    def bias(self, name: str, size: int) -> Parameter:
+    def bias(self, name: str, size: int) -> Tensor:
         return self._register(name, np.zeros(size))
-
-    def all(self) -> list[Parameter]:
-        return list(self.params.values())
 
     def named_values(self) -> dict[str, np.ndarray]:
         return {name: p.values.copy() for name, p in self.params.items()}
@@ -71,8 +50,8 @@ class ParamRegistry:
                 raise ContractError(
                     f"shape mismatch loading {name}: {arr.shape} vs {p.values.shape}"
                 )
-            p.tensor.values = arr.copy()
-            p.tensor.grad = None
+            p.values = arr.copy()
+            p.grad = None
 
     def value_norm(self) -> float:
         return float(np.sqrt(np.sum([float((p.values**2).sum()) for p in self.params.values()])))
@@ -84,7 +63,7 @@ class Linear:
         self.b = reg.bias(f"{prefix}.b", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.affine(x, self.w.tensor, self.b.tensor)
+        return ad.affine(x, self.w, self.b)
 
 
 class MLP2:
@@ -113,7 +92,7 @@ class GRUCell:
         self.wz = reg.weight(f"{prefix}.wz", d_cat, d_state)
         self.bz = reg.bias(f"{prefix}.bz", d_state)
         if update_bias:
-            self.bz.tensor.values += update_bias
+            self.bz.values += update_bias
         self.wr = reg.weight(f"{prefix}.wr", d_cat, d_state)
         self.br = reg.bias(f"{prefix}.br", d_state)
         self.wh = reg.weight(f"{prefix}.wh", d_cat, d_state)
@@ -209,7 +188,7 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
 
     parents = [h, x]
     for cell in cells:
-        parents += [p.tensor for p in (cell.wz, cell.bz, cell.wr, cell.br, cell.wh, cell.bh)]
+        parents += [cell.wz, cell.bz, cell.wr, cell.br, cell.wh, cell.bh]
     if gate is not None:
-        parents += [p.tensor for p in (gate.l1.w, gate.l1.b, gate.l2.w, gate.l2.b)]
+        parents += [gate.l1.w, gate.l1.b, gate.l2.w, gate.l2.b]
     return Tensor(out, tuple(parents), grad_fn)

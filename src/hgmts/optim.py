@@ -10,11 +10,11 @@ from .autodiff import ContractError
 class AdamState:
     """One flat buffer of parameter values, its first/second moments and the step counter.
 
-    The values of ``params`` are copied into ``values`` in order, and each
-    parameter's ``tensor.values`` becomes a view of its slice, so an update of
-    the buffer updates every parameter.  Defaults follow the usual convention:
-    beta1=0.9, beta2=0.999, eps=1e-8.  ``lr`` is mutable so a schedule can
-    adjust it between steps.
+    ``params`` maps each parameter's name to its leaf tensor.  Their values are
+    copied into ``values`` in order, and each parameter's ``values`` becomes a
+    view of its slice, so an update of the buffer updates every parameter.
+    Defaults follow the usual convention: beta1=0.9, beta2=0.999, eps=1e-8.
+    ``lr`` is mutable so a schedule can adjust it between steps.
     """
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
@@ -24,11 +24,11 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.params = list(params)
-        self.values = np.concatenate([p.values.ravel() for p in self.params])
+        self.params = dict(params)
+        self.values = np.concatenate([p.values.ravel() for p in self.params.values()])
         lo = 0
-        for p in self.params:
-            p.tensor.values = self.values[lo : lo + p.values.size].reshape(p.values.shape)
+        for p in self.params.values():
+            p.values = self.values[lo : lo + p.values.size].reshape(p.values.shape)
             lo += p.values.size
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
@@ -40,15 +40,15 @@ def adam_step(state: AdamState) -> None:
     The gradient and scratch buffers live for this call only, so they are not
     resident while the next step's tape is built.
     """
-    for p in state.params:
-        if p.tensor.grad is None:
-            raise ContractError(f"adam_step: parameter {p.name} has no gradient")
-        if p.tensor.values.base is not state.values:
-            raise ContractError(f"adam_step: parameter {p.name} was rebound and no longer "
+    for name, p in state.params.items():
+        if p.grad is None:
+            raise ContractError(f"adam_step: parameter {name} has no gradient")
+        if p.values.base is not state.values:
+            raise ContractError(f"adam_step: parameter {name} was rebound and no longer "
                                 "views the optimizer's buffer")
-    g = np.concatenate([p.tensor.grad.ravel() for p in state.params])
-    for p in state.params:
-        p.tensor.grad = None
+    g = np.concatenate([p.grad.ravel() for p in state.params.values()])
+    for p in state.params.values():
+        p.grad = None
     scratch = np.empty_like(g)
     state.step += 1
     t = state.step

@@ -101,9 +101,9 @@ def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, wh
         raise TrainingDiverged(f"non-finite loss {value} at {where}; "
                                f"parameter norm {model.registry.value_norm():.4g}")
     ad.backward(loss)
-    for p in adam.params:  # heads feeding only the unused final residual get zero grad
-        if p.tensor.grad is None:
-            p.tensor.grad = np.zeros_like(p.values)
+    for p in adam.params.values():  # heads feeding only the unused final residual get zero grad
+        if p.grad is None:
+            p.grad = np.zeros_like(p.values)
     del forecast, residual, loss  # the tape dies here, before Adam allocates its buffers
     adam_step(adam)
     return value

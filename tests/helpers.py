@@ -32,7 +32,7 @@ def jitter_params(registry, seed=0, scale=0.05):
     """
     rng = np.random.default_rng(seed)
     for p in registry.params.values():
-        p.tensor.values = p.tensor.values + rng.uniform(-scale, scale, p.values.shape)
+        p.values = p.values + rng.uniform(-scale, scale, p.values.shape)
 
 
 def finite_diff_max_err(build_loss, leaves, step=1e-4, max_per_leaf=None, rng=None):
@@ -183,15 +183,15 @@ def reference_adam_step(state) -> None:
     Its moments live in each parameter's slice of ``state.m`` and ``state.v``,
     and each parameter's values are rebound to a new array.
     """
-    for p in state.params:
-        if p.tensor.grad is None:
-            raise ContractError(f"adam_step: parameter {p.name} has no gradient")
+    for name, p in state.params.items():
+        if p.grad is None:
+            raise ContractError(f"adam_step: parameter {name} has no gradient")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     lo = 0
-    for p in state.params:
-        g = p.tensor.grad
+    for p in state.params.values():
+        g = p.grad
         hi = lo + g.size
         m = state.m[lo:hi].reshape(g.shape)
         v = state.v[lo:hi].reshape(g.shape)
@@ -202,8 +202,8 @@ def reference_adam_step(state) -> None:
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p.tensor.values = p.tensor.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.tensor.grad = None
+        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.grad = None
 
 
 def gru_param_values(cell):

@@ -101,7 +101,7 @@ def model_gradcheck(cfg, jitter_seed, x_seed, max_per_leaf):
         def loss():
             return ad.sum(ad.mul(model.forward_batch(x, step=0)[0], Tensor(probe)))
 
-        leaves = [p.tensor for p in model.parameters()]
+        leaves = list(model.parameters().values())
         worst = finite_diff_max_err(loss, leaves, max_per_leaf=max_per_leaf,
                                     rng=np.random.default_rng(jitter_seed))
         if worst < 1e-4:
@@ -161,7 +161,7 @@ def test_criterion_1_gradient_suite():
             x = Tensor(rng.uniform(-1, 1, (4, 6)))
             return finite_diff_max_err(
                 lambda: ad.sum(ad.mul(unit.encode_nodes(x), unit.encode_nodes(x))),
-                [x] + [p.tensor for p in reg.params.values()], max_per_leaf=4)
+                [x, *reg.params.values()], max_per_leaf=4)
 
         def gru_case():
             reg = ParamRegistry(seed=33)
@@ -171,7 +171,7 @@ def test_criterion_1_gradient_suite():
             x = Tensor(rng.uniform(-1, 1, (3, 4)))
             return finite_diff_max_err(
                 lambda: ad.sum(ad.mul(cell(h, x), cell(h, x))),
-                [h, x] + [p.tensor for p in reg.params.values()], max_per_leaf=4)
+                [h, x, *reg.params.values()], max_per_leaf=4)
 
         def dense_graph_case():
             h = Tensor(rng.uniform(-1, 1, (5, 4)))
@@ -208,7 +208,7 @@ def test_criterion_1_gradient_suite():
             return finite_diff_max_err(
                 lambda: ad.sum(ad.mul(aggregate(hidden, w, out_layer),
                                       aggregate(hidden, w, out_layer))),
-                [hidden, w, out_layer.w.tensor, out_layer.b.tensor])
+                [hidden, w, out_layer.w, out_layer.b])
 
         for case in (decompose_case, encoder_case, gru_case, dense_graph_case,
                      sparse_graph_case, softmax_pool_case, aggregate_case):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from helpers import finite_diff_max_err, ref_avgpool1d, ref_softmax_rows, scatter_2d
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, Tensor
+from hgmts.message_passing import MessagePassingUnit, aggregate
+from hgmts.nn import ParamRegistry
 
 
 class TestMatmul:
@@ -106,7 +108,7 @@ class TestBackward:
         x = Tensor(3.0)
         with ad.recording(False):
             sq = ad.mul(x, x)
-        assert sq._parents == () and sq._grad_fn is None
+        assert sq._parents == () and sq._grad_fn is ad._no_tape
         np.testing.assert_array_equal(sq.values, 9.0)
         for loss in (sq, ad.add(sq, 1.0)):
             with pytest.raises(ContractError, match="without a tape"):
@@ -114,6 +116,24 @@ class TestBackward:
         assert x.grad is None
         ad.backward(ad.mul(x, x))  # recording is back on after the block
         np.testing.assert_allclose(x.grad, 6.0)
+
+    def test_recording_restores_the_previous_state(self):
+        x = Tensor(3.0)
+
+        def taped():
+            return ad.mul(x, x)._parents == (x, x)
+
+        with ad.recording(False):
+            with ad.recording(True):
+                assert taped()
+            assert not taped()
+            with pytest.raises(KeyError), ad.recording(True):
+                raise KeyError
+            assert not taped()
+        assert taped()
+        with pytest.raises(KeyError), ad.recording(False):
+            raise KeyError
+        assert taped()
 
     def test_shared_subexpression(self):
         # d/dx of (x*x + x*x) = 4x
@@ -333,3 +353,63 @@ class TestAgainstNumpyOracle:
         np.testing.assert_allclose(ad.sum(t).values, x.sum())
         np.testing.assert_allclose(ad.sum(t, axis=0).values, x.sum(axis=0))
         np.testing.assert_allclose(ad.mean(t, axis=1).values, x.mean(axis=1))
+
+
+def op_cases():
+    """Op name -> a call that computes that op's result from fixed leaves."""
+    rng = np.random.default_rng(70)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1, 1, shape))
+
+    a, b, w, bias, grid = leaf(3, 4), leaf(3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 4)
+    zero_d = Tensor(0.5)
+    unit = MessagePassingUnit(ParamRegistry(seed=71), "u", 6, 4, 4)
+    h, x, hidden, weights = leaf(6, 4), leaf(2, 4), leaf(2, 2, 2, 4), leaf(2, 2, 2)
+    query_rows = np.array([[0, 2], [3, 5]])
+    key_rows = np.array([[[1, 2], [0, 1]], [[4, 5], [3, 4]]])
+    return {
+        "add": lambda: ad.add(a, b),
+        "add scalar": lambda: ad.add(a, 0.25),
+        "sub": lambda: ad.sub(a, b),
+        "sub scalar": lambda: ad.sub(a, 0.25),
+        "mul": lambda: ad.mul(a, b),
+        "mul scalar": lambda: ad.mul(a, 0.25),
+        "mul 0-d": lambda: ad.mul(zero_d, zero_d),
+        "matmul": lambda: ad.matmul(a, w),
+        "affine": lambda: ad.affine(a, w, bias),
+        "transpose": lambda: ad.transpose(grid),
+        "reshape": lambda: ad.reshape(grid, (6, 4)),
+        "relu": lambda: ad.relu(a),
+        "sigmoid": lambda: ad.sigmoid(a),
+        "tanh": lambda: ad.tanh(a),
+        "sum": lambda: ad.sum(a),
+        "sum axis": lambda: ad.sum(grid, axis=1),
+        "mean": lambda: ad.mean(a),
+        "mean axis": lambda: ad.mean(grid, axis=2, keepdims=True),
+        "softmax_rows": lambda: ad.softmax_rows(grid),
+        "gather": lambda: ad.gather(a, np.array([[2, 0], [1, 3], [0, 1]]), axis=1),
+        "avgpool1d": lambda: ad.avgpool1d(a, 3),
+        "gru_round": lambda: unit.gated_update(h, x, [3, 0]),
+        "compute_messages": lambda: unit.compute_messages(h, query_rows, key_rows),
+        "aggregate": lambda: aggregate(hidden, weights, unit.message_net.l2),
+    }
+
+
+class TestRecordingOff:
+    """Every op computed while recording is off gives the recorded values and keeps no tape."""
+
+    @pytest.mark.parametrize("name", list(op_cases()))
+    def test_tapeless_result(self, name):
+        build = op_cases()[name]
+        recorded = build()
+        with ad.recording(False):
+            bare = build()
+        assert recorded._parents
+        for result in (recorded, bare):
+            assert type(result.values) is np.ndarray and result.values.dtype == np.float64
+        assert bare.shape == recorded.shape
+        assert bare.values.tobytes() == recorded.values.tobytes()
+        assert bare._parents == ()
+        with pytest.raises(ContractError, match="without a tape"):
+            ad.backward(ad.sum(bare))

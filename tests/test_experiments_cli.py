@@ -145,6 +145,15 @@ class TestCli:
         assert out.splitlines()[0] == REPORT_HEADER
         assert (workdir / "out" / "eval_test.csv").exists()
 
+    @pytest.mark.parametrize("content", [None, b"\x89PNG\r\n\x1a\n" + bytes(16)],
+                             ids=["csv", "binary"])
+    def test_eval_refuses_a_file_that_is_not_a_checkpoint(self, workdir, capsys, content):
+        path = "series.csv" if content is None else "model.bin"
+        if content is not None:
+            (workdir / path).write_bytes(content)
+        assert main(["eval", "--checkpoint", path, "--out", "out"]) == 1
+        assert f"not a hgmts-checkpoint file: {path}" in capsys.readouterr().err
+
     def test_eval_dump_predictions(self, workdir, capsys):
         assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
         code = main(["eval", "--checkpoint", "out/model.ckpt", "--data", "series.csv",

@@ -46,7 +46,7 @@ def edge_messages(unit, h, src, dst):
 def identity_layer(d):
     """An output layer W2 = I, b2 = 0: aggregate then returns the weighted sum itself."""
     layer = Linear(ParamRegistry(), "out", d, d)
-    layer.w.tensor.values = np.eye(d)
+    layer.w.values = np.eye(d)
     return layer
 
 
@@ -94,9 +94,9 @@ class TestEncodeNodes:
 class TestComputeMessages:
     def test_equal_states_give_message_of_zero_difference(self):
         unit, reg = make_unit(seed=1)
-        for p in reg.params.values():  # nonzero biases make g(0) a nontrivial constant
-            if p.name.endswith(".b"):
-                p.tensor.values = np.random.default_rng(2).uniform(-1, 1, p.values.shape)
+        for name, p in reg.params.items():  # nonzero biases make g(0) a nontrivial constant
+            if name.endswith(".b"):
+                p.values = np.random.default_rng(2).uniform(-1, 1, p.values.shape)
         h = Tensor(np.tile(np.random.default_rng(3).uniform(-1, 1, (1, 4)), (3, 1)))
         msgs = edge_messages(unit, h, [0, 1], [1, 2]).values
         expected = ref_mlp2(np.zeros((1, 4)), *mlp_param_values(unit.message_net))
@@ -134,7 +134,7 @@ class TestComputeMessages:
         def loss():
             return ad.sum(ad.mul(unit.compute_messages(h, query_rows, key_rows), probe))
 
-        assert finite_diff_max_err(loss, [h, l1.w.tensor, l1.b.tensor]) < 1e-4
+        assert finite_diff_max_err(loss, [h, l1.w, l1.b]) < 1e-4
 
 
 class TestAggregate:
@@ -170,13 +170,13 @@ class TestAggregate:
             out = aggregate(hidden, weights, l2)
             return ad.sum(ad.mul(out, out))
 
-        assert finite_diff_max_err(loss, [hidden, weights, l2.w.tensor, l2.b.tensor]) < 1e-4
+        assert finite_diff_max_err(loss, [hidden, weights, l2.w, l2.b]) < 1e-4
 
 
 class TestGatedUpdate:
     def test_saturated_gate_selects_first_gru(self):
         unit, _ = make_unit(seed=10)
-        unit.gate.l2.b.tensor.values = np.array([20.0])  # beta -> 1
+        unit.gate.l2.b.values = np.array([20.0])  # beta -> 1
         rng = np.random.default_rng(11)
         h = Tensor(rng.uniform(-1, 1, (3, 4)))
         agg = Tensor(rng.uniform(-1, 1, (3, 4)))
@@ -187,7 +187,7 @@ class TestGatedUpdate:
     def test_identical_grus_make_gate_irrelevant(self):
         unit, reg = make_unit(seed=12)
         for name in ("wz", "bz", "wr", "br", "wh", "bh"):
-            getattr(unit.gru2, name).tensor.values = getattr(unit.gru1, name).values.copy()
+            getattr(unit.gru2, name).values = getattr(unit.gru1, name).values.copy()
         rng = np.random.default_rng(13)
         h = Tensor(rng.uniform(-1, 1, (3, 4)))
         agg = Tensor(rng.uniform(-1, 1, (3, 4)))
@@ -247,7 +247,7 @@ class TestGatedUpdate:
         h = Tensor(rng.uniform(-1, 1, (4, 3)))
         agg = Tensor(rng.uniform(-1, 1, (4, 3)))
         probe = Tensor(rng.uniform(-1, 1, (4, 3)))
-        recurrent = [p.tensor for name, p in reg.params.items()
+        recurrent = [p for name, p in reg.params.items()
                      if ".gru" in name or ".gate" in name]
 
         def loss():
@@ -281,7 +281,7 @@ class TestGatedUpdate:
         h = Tensor(rng.uniform(-1, 1, (5, 3)))
         x = Tensor(rng.uniform(-1, 1, (2, 3)))
         probe = Tensor(rng.uniform(-1, 1, (5, 3)))
-        recurrent = [p.tensor for name, p in reg.params.items()
+        recurrent = [p for name, p in reg.params.items()
                      if ".gru" in name or ".gate" in name]
 
         def loss():
@@ -320,9 +320,9 @@ class TestRunMessagePassing:
         x = Tensor(np.random.default_rng(23).uniform(-1, 1, (1, 6)))
 
         h = unit.encode_nodes(x)
-        adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, sample_count(1.0, 1))
+        adj = build_sparse_adjacency(h, wq, wk, sample_count(1.0, 1))
         np.testing.assert_array_equal(adj.matrix.values, [[1.0]])
-        graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 1, 1, 0)
+        graph = build_sparse_adjacency_batch(h, wq, wk, 1, 1, 0)
 
         out = unit.run(h, graph, 1).values
         h0 = unit.encode_nodes(x).values
@@ -405,10 +405,10 @@ class TestRunMessagePassing:
 
         def loss():
             h = unit.encode_nodes(x)
-            graph = build_sparse_adjacency_batch(h, wq.tensor, wk.tensor, 3, 3, 5)
+            graph = build_sparse_adjacency_batch(h, wq, wk, 3, 3, 5)
             return ad.sum(ad.mul(unit.run(h, graph, 3), Tensor(probe)))
 
-        leaves = [x] + [p.tensor for p in reg.params.values()]
+        leaves = [x, *reg.params.values()]
         assert finite_diff_max_err(loss, leaves, max_per_leaf=6) < 1e-4
 
     def test_three_round_gradient_check_with_frozen_sparse_structure(self):
@@ -424,10 +424,10 @@ class TestRunMessagePassing:
 
         def graph_fn(h):
             if "idx" not in frozen:
-                adj = build_sparse_adjacency(h, wq.tensor, wk.tensor, 2, seed=5)
+                adj = build_sparse_adjacency(h, wq, wk, 2, seed=5)
                 frozen["idx"] = (adj.selected_queries, adj.selected_keys)
             sel_q, sel_keys = frozen["idx"]
-            q, k = ad.matmul(h, wq.tensor), ad.matmul(h, wk.tensor)
+            q, k = ad.matmul(h, wq), ad.matmul(h, wk)
             logits = ad.mul(ad.matmul(ad.gather(q, sel_q[:, None], axis=0), ad.transpose(k)),
                             1.0 / np.sqrt(3))
             weights = ad.softmax_rows(ad.gather(logits, sel_keys, axis=-1))
@@ -438,5 +438,5 @@ class TestRunMessagePassing:
             h = unit.encode_nodes(x)
             return ad.sum(ad.mul(unit.run(h, graph_fn(h), 3), Tensor(probe)))
 
-        leaves = [x] + [p.tensor for p in reg.params.values()]
+        leaves = [x, *reg.params.values()]
         assert finite_diff_max_err(loss, leaves, max_per_leaf=6) < 1e-4

@@ -1,6 +1,7 @@
 """Block/stack/model wiring, residual chaining, and the six variants."""
 
 import hashlib
+import re
 import threading
 
 import numpy as np
@@ -45,7 +46,7 @@ def rand_window(cfg, seed=0):
 def zero_forecast_heads(model):
     for name, p in model.registry.params.items():
         if ".forecast.l2." in name:
-            p.tensor.values = np.zeros_like(p.values)
+            p.values = np.zeros_like(p.values)
 
 
 class TestBlockForward:
@@ -177,6 +178,11 @@ class TestModelForward:
         with pytest.raises(ContractError):
             model.forward(np.zeros((4, 8)))
 
+    @pytest.mark.parametrize("shape", [(48,), (1, 1, 8, 48)])
+    def test_window_array_of_wrong_rank_rejected_naming_its_shape(self, shape):
+        with pytest.raises(ContractError, match=re.escape(str(shape))):
+            tiny_model().forward_batch(np.zeros(shape))
+
     def test_inference_pass_cannot_be_differentiated(self):
         model = tiny_model()
         forecast = model.forward_batch(rand_window(model.cfg))[0]
@@ -192,7 +198,7 @@ class TestModelForward:
         def loss():
             return ad.sum(ad.mul(model.forward_batch(x, step=0)[0], Tensor(probe)))
 
-        leaves = [p.tensor for p in model.parameters()]
+        leaves = list(model.parameters().values())
         assert finite_diff_max_err(loss, leaves, max_per_leaf=4) < 1e-4
 
 
@@ -261,7 +267,7 @@ class TestVariants:
         assert (moved4[2] != base4[2]).any()
 
     def test_parameter_count_audit(self):
-        counts = {v: sum(p.values.size for p in tiny_model(v, stacks=3).parameters())
+        counts = {v: sum(p.values.size for p in tiny_model(v, stacks=3).parameters().values())
                   for v in ("hgmts1", "hgmts6")}
         assert counts["hgmts6"] < counts["hgmts1"]
 
@@ -475,7 +481,7 @@ class TestStatelessForward:
             release.set()
             thread.join(timeout=60)
         assert not thread.is_alive()
-        heads = [p.tensor.grad for name, p in model.registry.params.items() if ".forecast." in name]
+        heads = [p.grad for name, p in model.registry.params.items() if ".forecast." in name]
         assert heads and all(g is not None and g.any() for g in heads)
 
     def test_training_step_changes_the_key_sample(self):

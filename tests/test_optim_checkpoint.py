@@ -1,6 +1,7 @@
 """Adam updates, parameter initialization, and the checkpoint format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,34 +21,34 @@ from hgmts.synthetic import generate_coupled
 def make_param(value):
     reg = ParamRegistry(seed=0)
     p = reg.bias("theta", np.size(value))
-    p.tensor.values = np.asarray(value, dtype=np.float64)
+    p.values = np.asarray(value, dtype=np.float64)
     return p
 
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = make_param([1.0, -2.0])
-        state = AdamState([p])
-        p.tensor.grad = np.zeros(2)
+        state = AdamState({"theta": p})
+        p.grad = np.zeros(2)
         adam_step(state)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
     def test_single_scalar_first_step_matches_hand_calc(self):
         # m_hat = g, v_hat = g^2 at step 1, so the step is lr * g/(|g| + eps)
         p = make_param([1.0])
-        state = AdamState([p], lr=1e-4)
-        p.tensor.grad = np.ones(1)
+        state = AdamState({"theta": p}, lr=1e-4)
+        p.grad = np.ones(1)
         adam_step(state)
         expected = 1.0 - 1e-4 * (1.0 / (1.0 + 1e-8))
         np.testing.assert_allclose(p.values, [expected], rtol=1e-15)
 
     def test_two_steps_match_hand_recursion(self):
         p = make_param([0.5])
-        state = AdamState([p], lr=1e-3)
+        state = AdamState({"theta": p}, lr=1e-3)
         theta, m, v = 0.5, 0.0, 0.0
         for t in (1, 2):
             g = 2.0 * theta  # gradient of theta^2
-            p.tensor.grad = np.array([g])
+            p.grad = np.array([g])
             adam_step(state)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
@@ -56,24 +57,24 @@ class TestAdam:
 
     def test_step_counter_increments(self):
         p = make_param([0.0])
-        state = AdamState([p])
+        state = AdamState({"theta": p})
         for expected in (1, 2, 3):
-            p.tensor.grad = np.ones(1)
+            p.grad = np.ones(1)
             adam_step(state)
             assert state.step == expected
 
     def test_missing_gradient_rejected(self):
         p = make_param([0.0])
-        state = AdamState([p])
+        state = AdamState({"theta": p})
         with pytest.raises(ContractError, match="theta"):
             adam_step(state)
 
     def test_gradients_zeroed_after_step(self):
         p = make_param([0.0])
-        state = AdamState([p])
-        p.tensor.grad = np.ones(1)
+        state = AdamState({"theta": p})
+        p.grad = np.ones(1)
         adam_step(state)
-        assert p.tensor.grad is None
+        assert p.grad is None
 
 
 def small_model(variant, seed=0):
@@ -91,7 +92,7 @@ class TestFlatBuffer:
         before = model.registry.named_values()
         state = AdamState(model.parameters())
         assert state.values.size == sum(v.size for v in before.values())
-        assert all(p.values.base is state.values for p in state.params)
+        assert all(p.values.base is state.values for p in state.params.values())
         np.testing.assert_array_equal(
             state.values, np.concatenate([v.ravel() for v in before.values()]))
         for name, values in model.registry.named_values().items():
@@ -101,13 +102,14 @@ class TestFlatBuffer:
         model = small_model("hgmts1")
         params = model.parameters()
         state = AdamState(params)
-        for p in params:
-            p.tensor.grad = np.ones_like(p.values)
+        for p in params.values():
+            p.grad = np.ones_like(p.values)
         adam_step(state)
-        params[3].tensor.values = params[3].values.copy()
-        for p in params:
-            p.tensor.grad = np.ones_like(p.values)
-        with pytest.raises(ContractError, match=params[3].name):
+        name = list(params)[3]
+        params[name].values = params[name].values.copy()
+        for p in params.values():
+            p.grad = np.ones_like(p.values)
+        with pytest.raises(ContractError, match=name):
             adam_step(state)
 
     def test_steps_match_the_per_parameter_oracle_bitwise(self):
@@ -116,13 +118,13 @@ class TestFlatBuffer:
         ref_state = AdamState(ref.parameters(), lr=1e-2)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            for p, q in zip(flat.parameters(), ref.parameters()):
-                p.tensor.grad = rng.normal(size=p.values.shape)
-                q.tensor.grad = p.tensor.grad.copy()
+            for p, q in zip(flat.parameters().values(), ref.parameters().values()):
+                p.grad = rng.normal(size=p.values.shape)
+                q.grad = p.grad.copy()
             adam_step(flat_state)
             reference_adam_step(ref_state)
-        for p, q in zip(flat.parameters(), ref.parameters()):
-            assert p.values.tobytes() == q.values.tobytes(), p.name
+        for (name, p), q in zip(flat.parameters().items(), ref.parameters().values()):
+            assert p.values.tobytes() == q.values.tobytes(), name
         assert flat_state.m.tobytes() == ref_state.m.tobytes()
         assert flat_state.v.tobytes() == ref_state.v.tobytes()
 
@@ -136,7 +138,7 @@ class TestFlatBuffer:
             monkeypatch.setattr(training, "adam_step", step)
             model = small_model(variant)
             result = training.train(model, prepared.train, prepared.val, cfg)
-            assert all(p.values.base is None for p in model.parameters())
+            assert all(p.values.base is None for p in model.parameters().values())
             runs.append((result.history_csv(),
                          {k: v.tobytes() for k, v in model.registry.named_values().items()}))
         assert runs[0] == runs[1]
@@ -158,6 +160,12 @@ class TestInitialization:
     def test_fan_in_bound(self):
         w = ParamRegistry(seed=0).weight("w", 64, 32)
         assert np.abs(w.values).max() <= 1.0 / np.sqrt(64)
+
+    def test_a_parameter_is_the_registry_leaf(self):
+        reg = ParamRegistry(seed=0)
+        assert reg.weight("w", 4, 3) is reg.params["w"]
+        assert reg.bias("b", 3) is reg.params["b"]
+        assert reg.params["w"]._parents == () and reg.params["w"]._grad_fn is None
 
     def test_duplicate_name_rejected(self):
         reg = ParamRegistry(seed=0)
@@ -204,6 +212,15 @@ class TestCheckpoint:
         path = tmp_path / "list"
         path.write_bytes(b'["hgmts-checkpoint"]\n')
         with pytest.raises(ContractError, match="not a hgmts-checkpoint file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"date,a,b\n2020-01-01,1.0,2.0\n",
+                                         b"\x89PNG\r\n\x1a\n" + bytes(16)],
+                             ids=["csv", "binary"])
+    def test_file_without_a_json_manifest_rejected_naming_it(self, tmp_path, content):
+        path = tmp_path / "data.csv"
+        path.write_bytes(content)
+        with pytest.raises(ContractError, match=re.escape(f"not a hgmts-checkpoint file: {path}")):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hgmts import training
-from hgmts.autodiff import ContractError, ShapeMismatch
+from hgmts.autodiff import ContractError, ShapeMismatch, _no_tape
 from hgmts.data import SplitSpec
 from hgmts.experiments import EvalReport, prepare_windows
 from hgmts.metrics import mae, mse, mse_loss, persistence_forecast
@@ -134,8 +134,8 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_aborts_with_diagnostics(self):
         model, prepared = small_setup(variant="hgmts4")
-        for p in model.parameters():
-            p.tensor.values = p.tensor.values * 1e200
+        for p in model.parameters().values():
+            p.values = p.values * 1e200
         with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
             train(model, prepared.train[:40], prepared.val[:10],
                   TrainConfig(max_epochs=1, seed=0))
@@ -188,7 +188,8 @@ class TestTrainLoop:
 
 
 def has_no_tape(tensor) -> bool:
-    return tensor._parents == () and tensor._grad_fn is None
+    """No parents and no closure: a leaf, or an op result computed while recording was off."""
+    return tensor._parents == () and tensor._grad_fn in (None, _no_tape)
 
 
 class TestTapeLifetime:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, ShapeMismatch, Tensor
 
 
 class ParamRegistry:
@@ -74,7 +74,24 @@ class MLP2:
         self.l2 = Linear(reg, f"{prefix}.l2", d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.l2(ad.relu(self.l1(x)))
+        """relu(x @ w1 + b1) @ w2 + b2 as one tape node that saves only the ReLU
+        output: its mask a > 0 is the pre-activation's."""
+        w1, b1, w2, b2 = self.l1.w, self.l1.b, self.l2.w, self.l2.b
+        xv, w1v, w2v = x.values, w1.values, w2.values
+        if xv.ndim != 2 or xv.shape[1] != w1v.shape[0]:
+            raise ShapeMismatch(f"MLP2: incompatible shapes {xv.shape} and {w1v.shape}")
+        a = xv @ w1v
+        a += b1.values
+        np.maximum(a, 0.0, out=a)
+        out = a @ w2v
+        out += b2.values
+
+        def grad_fn(g):
+            d_pre = g @ w2v.T
+            d_pre *= a > 0
+            return d_pre @ w1v.T, xv.T @ d_pre, d_pre.sum(axis=0), a.T @ g, g.sum(axis=0)
+
+        return Tensor(out, (x, w1, b1, w2, b2), grad_fn)
 
 
 class GRUCell:
@@ -124,7 +141,9 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
     rows, applied to every row of h, and its input rows, applied to x and added
     into ``rows``.  Every gate block is its own contiguous (rows, width) array:
     z and r of each cell, and the gate's hidden layer.  The backward is written
-    out.
+    out.  It keeps z, r and the candidate of each cell, the gate's ReLU output
+    and beta, and rebuilds r * h and the two cells' updates with the forward's
+    elementwise ops, so it recomputes no product with a weight.
     """
     if (gate is None) != (len(cells) == 1):
         raise ContractError("gru_round takes one cell without a gate or two cells with one")
@@ -138,25 +157,26 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
         out += b.values
         return out
 
-    saved, outs = [], []
+    def blend(z, cand):  # one cell's update
+        return hv + z * (cand - hv)
+
+    saved = []
     for cell in cells:
         z = ad.sigmoid_values(pre_act(cell.wz, cell.bz, hv))
         r = ad.sigmoid_values(pre_act(cell.wr, cell.br, hv))
-        rh = r * hv
-        cand = pre_act(cell.wh, cell.bh, rh)
+        cand = pre_act(cell.wh, cell.bh, r * hv)
         np.tanh(cand, out=cand)
-        outs.append(hv + z * (cand - hv))
-        saved.append((z, r, rh, cand))
+        saved.append((z, r, cand))
+    outs = [blend(z, cand) for z, _, cand in saved]
     if gate is None:
         out = outs[0]
     else:
-        a_pre = pre_act(gate.l1.w, gate.l1.b, hv)
-        a = np.maximum(a_pre, 0.0)
+        a = pre_act(gate.l1.w, gate.l1.b, hv)
+        np.maximum(a, 0.0, out=a)  # backward reads only the mask a > 0
         b_pre = a @ gate.l2.w.values
         b_pre += gate.l2.b.values
         beta = ad.sigmoid_values(b_pre)  # (rows, 1)
-        diff = outs[0] - outs[1]
-        out = outs[1] + beta * diff
+        out = outs[1] + beta * (outs[0] - outs[1])
 
     def grad_fn(g):
         dh, dx = np.zeros_like(hv), np.zeros_like(xv)
@@ -171,8 +191,8 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
 
         grads = []
         g_cells = (g,) if gate is None else (g * beta, g - g * beta)
-        for cell, gc, (z, r, rh, cand) in zip(cells, g_cells, saved):
-            d_rh, d_wh, d_bh = back(cell.wh, gc * z * (1.0 - cand * cand), rh)
+        for cell, gc, (z, r, cand) in zip(cells, g_cells, saved):
+            d_rh, d_wh, d_bh = back(cell.wh, gc * z * (1.0 - cand * cand), r * hv)
             dh_z, d_wz, d_bz = back(cell.wz, gc * (cand - hv) * z * (1.0 - z), hv)
             dh_r, d_wr, d_br = back(cell.wr, d_rh * hv * r * (1.0 - r), hv)
             dh += gc * (1.0 - z) + d_rh * r
@@ -180,8 +200,10 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
             dh += dh_r
             grads += [d_wz, d_bz, d_wr, d_br, d_wh, d_bh]
         if gate is not None:
+            (z1, _, cand1), (z2, _, cand2) = saved
+            diff = blend(z1, cand1) - blend(z2, cand2)  # as the forward formed it
             d_b_pre = (g * diff).sum(axis=1, keepdims=True) * beta * (1.0 - beta)
-            dh_a, d_w1, d_b1 = back(gate.l1.w, (d_b_pre @ gate.l2.w.values.T) * (a_pre > 0), hv)
+            dh_a, d_w1, d_b1 = back(gate.l1.w, (d_b_pre @ gate.l2.w.values.T) * (a > 0), hv)
             dh += dh_a
             grads += [d_w1, d_b1, a.T @ d_b_pre, d_b_pre.sum(axis=0)]
         return (dh, dx, *grads)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
@@ -86,20 +87,32 @@ class _Batcher:
             yield [self.windows[i] for i in order[lo : lo + self.batch_size]]
 
 
+@contextlib.contextmanager
+def _diverges_on_numeric_error(model: Model, where: str):
+    """Re-raise a NumericError of the block as TrainingDiverged naming ``where``
+    and the parameter norm."""
+    try:
+        yield
+    except ad.NumericError as exc:
+        raise TrainingDiverged(f"{exc} at {where}; "
+                               f"parameter norm {model.registry.value_norm():.4g}") from exc
+
+
 def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, where: str) -> float:
     """One Adam step on ``batch``; returns its loss.  The step's tape dies on
     return, so no two steps' tapes are alive at once."""
     xs = np.stack([x for x, _ in batch])
     ys = np.concatenate([y for _, y in batch], axis=0)
-    # the step count seeds this step's graph key samples
-    forecast, residual = model.forward_batch(xs, step=adam.step)[:2]
-    loss = mse_loss(forecast, ys)
-    if cfg.backcast_loss_weight > 0:
-        loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)), cfg.backcast_loss_weight))
-    value = loss.item()
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"non-finite loss {value} at {where}; "
-                               f"parameter norm {model.registry.value_norm():.4g}")
+    with _diverges_on_numeric_error(model, where):
+        # the step count seeds this step's graph key samples
+        forecast, residual = model.forward_batch(xs, step=adam.step)[:2]
+        loss = mse_loss(forecast, ys)
+        if cfg.backcast_loss_weight > 0:
+            loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)),
+                                       cfg.backcast_loss_weight))
+        value = loss.item()
+        if not np.isfinite(value):
+            raise ad.NumericError(f"non-finite loss {value}")
     ad.backward(loss)
     for p in adam.params.values():  # heads feeding only the unused final residual get zero grad
         if p.grad is None:
@@ -113,6 +126,9 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
     """Mini-batch Adam with the halving schedule; returns best-validation weights.
 
     The model is left holding the parameters of its best validation epoch.
+    A step whose loss is not finite, or a step's forward pass or a validation
+    pass that raises NumericError, raises TrainingDiverged naming the epoch
+    and batch (or the validation pass) and the parameter norm.
     """
     if not train_windows:
         raise ContractError("train requires at least one training window")
@@ -133,8 +149,9 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
             losses.append(_train_step(model, adam, cfg, batch, f"epoch {epoch}, batch {batch_idx}"))
 
         train_loss = float(np.mean(losses))
-        val = (evaluate(model, val_windows, batch_size=cfg.batch_size)[0] if val_windows
-               else train_loss)
+        with _diverges_on_numeric_error(model, f"the validation pass of epoch {epoch}"):
+            val = (evaluate(model, val_windows, batch_size=cfg.batch_size)[0] if val_windows
+                   else train_loss)
         history.append(EpochStats(epoch=epoch, lr=adam.lr, train_loss=train_loss, val_mse=val))
         if val < best_val:
             best_val = val

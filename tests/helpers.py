@@ -1,4 +1,9 @@
-"""Shared test utilities: finite-difference gradient oracle and reference nets.
+"""Shared test utilities: finite-difference gradient oracle, tape audit and
+reference nets.
+
+The tape audit (``tape_nodes``, ``closure_arrays``, ``tape_bytes``) reads what
+a recorded tape keeps alive: its nodes, and the arrays their gradient
+functions saved.
 
 The reference implementations here are written directly against numpy and are
 kept independent of the package's tape so they can serve as oracles.  The
@@ -8,6 +13,7 @@ forms.
 """
 
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +72,52 @@ def finite_diff_max_err(build_loss, leaves, step=1e-4, max_per_leaf=None, rng=No
     for leaf in leaves:
         leaf.grad = None
     return worst
+
+
+def tape_nodes(root: Tensor) -> list:
+    """Every tensor reachable from ``root`` through parent links, leaves included."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
+def closure_arrays(fn) -> list:
+    """The ndarrays a gradient function keeps alive: in its closure cells, in
+    lists and tuples held there, and in the closures of functions held there."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, types.FunctionType) and obj.__closure__:
+            for cell in obj.__closure__:
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a cell the function never filled
+                    pass
+    return found
+
+
+def tape_bytes(loss: Tensor) -> int:
+    """Bytes of the unique ndarrays reachable from ``loss`` through node values
+    and gradient-function closures; a view counts as the array that owns its data."""
+    owners = {}
+    for node in tape_nodes(loss):
+        arrays = [node.values] + (closure_arrays(node._grad_fn) if node._grad_fn else [])
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
 
 
 def ref_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -127,6 +179,75 @@ def ref_gated_update(h, x, gru1, gru2=None, gate=None):
         return h1
     beta = ref_sigmoid(ref_mlp2(np.concatenate([h, x], axis=1), *gate))
     return beta * h1 + (1.0 - beta) * ref_gru(h, x, *gru2)
+
+
+def saving_gru_round(h: Tensor, x: Tensor, rows, cells, gate=None) -> Tensor:
+    """``nn.gru_round`` as it was before its tape was slimmed: the backward reads
+    saved copies of r * h, of the gate's pre-activation and of the blend
+    difference.  The package round must match it bitwise, value and gradients."""
+    hv, xv = h.values, x.values
+    rows = np.asarray(rows, dtype=np.intp)
+    d = hv.shape[1]
+
+    def pre_act(w, b, state):
+        out = state @ w.values[:d]
+        out[rows] += xv @ w.values[d:]
+        out += b.values
+        return out
+
+    saved, outs = [], []
+    for cell in cells:
+        z = ad.sigmoid_values(pre_act(cell.wz, cell.bz, hv))
+        r = ad.sigmoid_values(pre_act(cell.wr, cell.br, hv))
+        rh = r * hv
+        cand = pre_act(cell.wh, cell.bh, rh)
+        np.tanh(cand, out=cand)
+        outs.append(hv + z * (cand - hv))
+        saved.append((z, r, rh, cand))
+    if gate is None:
+        out = outs[0]
+    else:
+        a_pre = pre_act(gate.l1.w, gate.l1.b, hv)
+        a = np.maximum(a_pre, 0.0)
+        b_pre = a @ gate.l2.w.values
+        b_pre += gate.l2.b.values
+        beta = ad.sigmoid_values(b_pre)
+        diff = outs[0] - outs[1]
+        out = outs[1] + beta * diff
+
+    def grad_fn(g):
+        dh, dx = np.zeros_like(hv), np.zeros_like(xv)
+
+        def back(w, d_pre, state):
+            nonlocal dx
+            d_pre_x = d_pre[rows]
+            dx += d_pre_x @ w.values[d:].T
+            dw = np.concatenate([state.T @ d_pre, xv.T @ d_pre_x])
+            return d_pre @ w.values[:d].T, dw, d_pre.sum(axis=0)
+
+        grads = []
+        g_cells = (g,) if gate is None else (g * beta, g - g * beta)
+        for cell, gc, (z, r, rh, cand) in zip(cells, g_cells, saved):
+            d_rh, d_wh, d_bh = back(cell.wh, gc * z * (1.0 - cand * cand), rh)
+            dh_z, d_wz, d_bz = back(cell.wz, gc * (cand - hv) * z * (1.0 - z), hv)
+            dh_r, d_wr, d_br = back(cell.wr, d_rh * hv * r * (1.0 - r), hv)
+            dh += gc * (1.0 - z) + d_rh * r
+            dh += dh_z
+            dh += dh_r
+            grads += [d_wz, d_bz, d_wr, d_br, d_wh, d_bh]
+        if gate is not None:
+            d_b_pre = (g * diff).sum(axis=1, keepdims=True) * beta * (1.0 - beta)
+            dh_a, d_w1, d_b1 = back(gate.l1.w, (d_b_pre @ gate.l2.w.values.T) * (a_pre > 0), hv)
+            dh += dh_a
+            grads += [d_w1, d_b1, a.T @ d_b_pre, d_b_pre.sum(axis=0)]
+        return (dh, dx, *grads)
+
+    parents = [h, x]
+    for cell in cells:
+        parents += [cell.wz, cell.bz, cell.wr, cell.br, cell.wh, cell.bh]
+    if gate is not None:
+        parents += [gate.l1.w, gate.l1.b, gate.l2.w, gate.l2.b]
+    return Tensor(out, tuple(parents), grad_fn)
 
 
 def ref_message_round(h, query_rows, key_rows, weights, msg, gru1, gru2=None, gate=None):

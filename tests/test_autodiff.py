@@ -11,7 +11,7 @@ from helpers import finite_diff_max_err, ref_avgpool1d, ref_softmax_rows, scatte
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, Tensor
 from hgmts.message_passing import MessagePassingUnit, aggregate
-from hgmts.nn import ParamRegistry
+from hgmts.nn import MLP2, ParamRegistry
 
 
 class TestMatmul:
@@ -365,6 +365,7 @@ def op_cases():
     a, b, w, bias, grid = leaf(3, 4), leaf(3, 4), leaf(4, 5), leaf(5), leaf(2, 3, 4)
     zero_d = Tensor(0.5)
     unit = MessagePassingUnit(ParamRegistry(seed=71), "u", 6, 4, 4)
+    mlp = MLP2(ParamRegistry(seed=72), "m", 4, 3, 2)
     h, x, hidden, weights = leaf(6, 4), leaf(2, 4), leaf(2, 2, 2, 4), leaf(2, 2, 2)
     query_rows = np.array([[0, 2], [3, 5]])
     key_rows = np.array([[[1, 2], [0, 1]], [[4, 5], [3, 4]]])
@@ -393,6 +394,7 @@ def op_cases():
         "gru_round": lambda: unit.gated_update(h, x, [3, 0]),
         "compute_messages": lambda: unit.compute_messages(h, query_rows, key_rows),
         "aggregate": lambda: aggregate(hidden, weights, unit.message_net.l2),
+        "MLP2": lambda: mlp(a),
     }
 
 

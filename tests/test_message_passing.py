@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     build_sparse_adjacency,
+    closure_arrays,
     finite_diff_max_err,
     gru_param_values,
     jitter_params,
@@ -14,12 +15,13 @@ from helpers import (
     ref_message_round,
     ref_mlp2,
     ref_sigmoid,
+    saving_gru_round,
 )
 from hgmts import autodiff as ad
-from hgmts.autodiff import ContractError, Tensor
+from hgmts.autodiff import ContractError, ShapeMismatch, Tensor
 from hgmts.latent_graph import GraphBatch, build_sparse_adjacency_batch, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
-from hgmts.nn import Linear, ParamRegistry, gru_round
+from hgmts.nn import MLP2, Linear, ParamRegistry, gru_round
 
 
 def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
@@ -89,6 +91,55 @@ class TestEncodeNodes:
         x = np.random.default_rng(1).uniform(-1, 1, (4, 6))
         expected = ref_mlp2(x, *mlp_param_values(unit.encoder))
         np.testing.assert_allclose(unit.encode_nodes(Tensor(x)).values, expected, atol=1e-12)
+
+
+class TestMLP2:
+    """MLP2 is one tape node with a written-out backward."""
+
+    def make(self, seed=80):
+        reg = ParamRegistry(seed=seed)
+        mlp = MLP2(reg, "m", 5, 4, 3)
+        jitter_params(reg, seed=seed + 1, scale=0.5)  # biases off zero: no ReLU on its kink
+        x = Tensor(np.random.default_rng(seed + 2).uniform(-1, 1, (6, 5)))
+        probe = np.random.default_rng(seed + 3).uniform(-1, 1, (6, 3))
+        return mlp, x, probe
+
+    def test_gradient_check(self):
+        mlp, x, probe = self.make()
+        leaves = [x, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b]
+
+        def loss():
+            out = mlp(x)
+            return ad.sum(ad.mul(ad.mul(out, out), Tensor(probe)))
+
+        assert finite_diff_max_err(loss, leaves) < 1e-6
+
+    def test_bitwise_equal_to_the_three_op_composition(self):
+        mlp, x, probe = self.make(seed=90)
+        leaves = [x, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b]
+        results = []
+        for forward in (mlp, lambda v: mlp.l2(ad.relu(mlp.l1(v)))):
+            out = forward(x)
+            ad.backward(ad.sum(ad.mul(out, Tensor(probe))))
+            results.append([out.values] + [leaf.grad for leaf in leaves])
+            for leaf in leaves:
+                leaf.grad = None
+        (out, *grads), (ref_out, *ref_grads) = results
+        assert out.tobytes() == ref_out.tobytes()
+        assert out.tobytes() == ref_mlp2(x.values, *mlp_param_values(mlp)).tobytes()
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+
+    def test_one_tape_node_over_its_five_leaves(self):
+        mlp, x, _ = self.make()
+        out = mlp(x)
+        assert out._parents == (x, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b)
+        assert all(p._parents == () for p in out._parents)
+
+    def test_width_mismatch_rejected(self):
+        mlp, _, _ = self.make()
+        with pytest.raises(ShapeMismatch, match="MLP2"):
+            mlp(Tensor(np.zeros((2, 4))))
 
 
 class TestComputeMessages:
@@ -289,6 +340,34 @@ class TestGatedUpdate:
             return ad.sum(ad.mul(ad.mul(out, out), probe))
 
         assert finite_diff_max_err(loss, [h, x] + recurrent) < 1e-4
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_round_is_bitwise_the_round_that_saves_every_array(self, single_gru):
+        unit, reg = make_unit(embed=4, hidden=3, seed=65, single_gru=single_gru)
+        jitter_params(reg, seed=66, scale=0.5)
+        rng = np.random.default_rng(67)
+        h, x = Tensor(rng.uniform(-1, 1, (5, 4))), Tensor(rng.uniform(-1, 1, (2, 4)))
+        g = rng.uniform(-1, 1, (5, 4))
+        cells = (unit.gru1,) if single_gru else (unit.gru1, unit.gru2)
+        out = gru_round(h, x, [3, 0], cells, unit.gate)
+        ref = saving_gru_round(h, x, [3, 0], cells, unit.gate)
+        assert out.values.tobytes() == ref.values.tobytes()
+        grads, ref_grads = out._grad_fn(g), ref._grad_fn(g)
+        assert out._parents == ref._parents and len(grads) == len(out._parents)
+        for grad, ref_grad in zip(grads, ref_grads):
+            assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    def test_round_keeps_only_what_its_backward_reads(self, single_gru):
+        unit, _ = make_unit(embed=4, hidden=3, seed=63, single_gru=single_gru)
+        rng = np.random.default_rng(64)
+        h, x = Tensor(rng.uniform(-1, 1, (5, 4))), Tensor(rng.uniform(-1, 1, (2, 4)))
+        out = unit.gated_update(h, x, [3, 0])
+        parent_values = [id(p.values) for p in out._parents]
+        kept = sorted(a.shape for a in closure_arrays(out._grad_fn)
+                      if a.dtype == np.float64 and id(a) not in parent_values)
+        # z, r and the candidate of each cell; the gate's ReLU output and beta
+        assert kept == ([(5, 4)] * 3 if single_gru else [(5, 1), (5, 3)] + [(5, 4)] * 6)
 
     def test_single_gru_unit_returns_first_update(self):
         unit, _ = make_unit(seed=18, single_gru=True)

@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import tape_bytes, tape_nodes
 from hgmts import training
-from hgmts.autodiff import ContractError, ShapeMismatch, _no_tape
+from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, _no_tape
 from hgmts.data import SplitSpec
 from hgmts.experiments import EvalReport, prepare_windows
 from hgmts.metrics import mae, mse, mse_loss, persistence_forecast
@@ -132,13 +133,27 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_divergence_aborts_with_diagnostics(self):
-        model, prepared = small_setup(variant="hgmts4")
+    @pytest.mark.parametrize("variant", ["hgmts1", "hgmts4"])
+    def test_divergence_aborts_with_diagnostics(self, variant):
+        # hgmts4 ends in a non-finite loss; hgmts1's graph softmax refuses first
+        model, prepared = small_setup(variant=variant)
         for p in model.parameters().values():
             p.values = p.values * 1e200
-        with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
+        with pytest.raises(TrainingDiverged, match="at epoch 0, batch 0; parameter norm"):
             train(model, prepared.train[:40], prepared.val[:10],
                   TrainConfig(max_epochs=1, seed=0))
+
+    def test_numeric_error_in_validation_aborts_naming_the_pass(self, monkeypatch):
+        model, prepared = small_setup()
+
+        def refuse(*args, **kwargs):
+            raise NumericError("softmax_rows requires finite inputs")
+
+        monkeypatch.setattr(training, "evaluate", refuse)
+        with pytest.raises(TrainingDiverged, match="at the validation pass of epoch 0; "
+                                                   "parameter norm"):
+            train(model, prepared.train[:8], prepared.val[:4],
+                  TrainConfig(max_epochs=1, batch_size=8, seed=0))
 
     def test_empty_training_set_rejected(self):
         model, prepared = small_setup()
@@ -262,6 +277,21 @@ class TestTapeLifetime:
         monkeypatch.setattr(training, "adam_step", adam_spy)
         train(model, prepared.train[:24], [], TrainConfig(max_epochs=2, batch_size=8, seed=0))
         assert alive_at_adam == [0] * 6
+
+
+class TestTapeSize:
+    """What one training step's tape holds, at small_setup's shape (1 stack, 1 round).
+    Each MLP2 and each round is one node; a change to these figures is deliberate."""
+
+    @pytest.mark.parametrize("variant, nodes, nbytes", [("hgmts1", 98, 78_872),
+                                                        ("hgmts4", 28, 24_456)])
+    def test_training_step_tape_is_pinned(self, variant, nodes, nbytes):
+        model, prepared = small_setup(variant=variant)
+        batch = prepared.train[:8]
+        forecast = model.forward_batch(np.stack([x for x, _ in batch]), step=0)[0]
+        loss = mse_loss(forecast, np.concatenate([y for _, y in batch]))
+        assert len(tape_nodes(loss)) == nodes
+        assert tape_bytes(loss) == nbytes
 
 
 class TestReportAveraging:

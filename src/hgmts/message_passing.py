@@ -17,6 +17,11 @@ net g(v) = relu(v W1 + b1) W2 + b2:
   = (sum_k w_qk a_qk) W2 + (sum_k w_qk) b2, where a_qk is the hidden layer,
   and it runs on the B*n query rows.
 
+Messages and their weighted sum are one tape op per round (:func:`aggregate`).
+The (B, n, n, H) hidden layer a_qk is the one array of a round whose size
+grows with n^2; the tape never keeps it.  The forward sums it into the query
+rows and drops it, and the backward rebuilds it from h with the forward's own
+GEMM and elementwise ops, so gradients are those of the stored layer, bitwise.
 The GRU input (the aggregate) exists only on the B*n query rows; every other
 row's input is zero and never stored.
 """
@@ -27,32 +32,60 @@ import numpy as np
 
 from .autodiff import ContractError, Tensor
 from .latent_graph import GraphBatch
-from .nn import GateUnit, GRUCell, Linear, MLP2, ParamRegistry, gru_round
+from .nn import GateUnit, GRUCell, MLP2, ParamRegistry, gru_round
 
 
-def aggregate(hidden: Tensor, weights: Tensor, out_layer: Linear) -> Tensor:
+# (B, n, n, H) arrays one round holds at once: a_qk, and in the backward a_qk
+# with its ReLU mask (1.24 measured by tracemalloc at B=4, n=64, H=32)
+EDGE_ARRAYS = 1.25
+EDGE_BUDGET = 2**30  # bytes; a forward pass whose round would need more is refused
+
+
+def edge_bytes(batch: int, n: int, hidden: int) -> int:
+    """Estimated peak bytes of one message round's (B, n, n, H) arrays."""
+    return int(EDGE_ARRAYS * batch * n * n * hidden * 8)
+
+
+def aggregate(unit: MessagePassingUnit, h: Tensor, query_rows, key_rows,
+              weights: Tensor) -> Tensor:
     """Weighted sum of each query's messages over its keys, on the query rows.
 
-    hidden: (B, q, k, H) message hidden layer a_qk; weights: (B, q, k).
-    Returns (B*q, D) = (sum_k w_qk a_qk) W2 + (sum_k w_qk) b2, one row per
-    query in (window, query) order: the output layer runs once per query.
+    weights (B, q, k) align with ``unit.compute_messages``'s edges.  Returns
+    (B*q, D) = (sum_k w_qk a_qk) W2 + (sum_k w_qk) b2, one row per query in
+    (window, query) order: the output layer runs once per query.  The closure
+    keeps the (B*q, H) weighted sum and the (B*q, 1) weight sums; the backward
+    rebuilds a_qk with ``compute_messages`` and runs in a_qk's buffer.
     """
-    av, wv = hidden.values, weights.values
-    b, q, k, width = av.shape
-    w2, b2 = out_layer.w, out_layer.b
-    summed = np.einsum("bqk,bqkh->bqh", wv, av).reshape(b * q, width)
+    hv, wv = h.values, weights.values
+    l1, l2 = unit.message_net.l1, unit.message_net.l2
+    b, q, _ = wv.shape
+    width = l1.w.shape[1]
+    summed = np.einsum("bqk,bqkh->bqh", wv, unit.compute_messages(hv, query_rows, key_rows))
+    summed = summed.reshape(b * q, width)
     w_sum = wv.sum(axis=2).reshape(b * q, 1)
-    out = summed @ w2.values
-    out += w_sum * b2.values
+    out = summed @ l2.w.values
+    out += w_sum * l2.b.values
 
     def grad_fn(g):
-        d_summed = (g @ w2.values.T).reshape(b, q, width)
-        d_weights = np.einsum("bqkh,bqh->bqk", av, d_summed)
-        d_weights += (g @ b2.values).reshape(b, q, 1)
-        d_hidden = wv[..., None] * d_summed[:, :, None, :]
-        return d_hidden, d_weights, summed.T @ g, (w_sum * g).sum(axis=0)
+        a = unit.compute_messages(hv, query_rows, key_rows)
+        d_summed = (g @ l2.w.values.T).reshape(b, q, width)
+        d_weights = np.einsum("bqkh,bqh->bqk", a, d_summed)
+        d_weights += (g @ l2.b.values).reshape(b, q, 1)
+        mask = a > 0
+        d_pre = np.multiply(wv[..., None], d_summed[:, :, None, :], out=a)
+        d_pre *= mask
+        del mask  # the loop below then holds d_pre alone
+        d_p = np.zeros((hv.shape[0], width))
+        d_query = np.einsum("bqkh->bqh", d_pre)
+        d_p[query_rows] = d_query
+        # queries share keys; one query at a time keeps each write free of
+        # repeats and the sum in a fixed order
+        for j in range(q):
+            d_p[key_rows[:, j]] -= d_pre[:, j]
+        return (d_p @ l1.w.values.T, d_weights, hv.T @ d_p, d_query.sum(axis=(0, 1)),
+                summed.T @ g, (w_sum * g).sum(axis=0))
 
-    return Tensor(out, (hidden, weights, w2, b2), grad_fn)
+    return Tensor(out, (h, weights, l1.w, l1.b, l2.w, l2.b), grad_fn)
 
 
 class MessagePassingUnit:
@@ -91,34 +124,20 @@ class MessagePassingUnit:
             raise ContractError(f"window length {x.shape[1]} != configured {self.input_len}")
         return self.encoder(x)
 
-    def compute_messages(self, h: Tensor, query_rows, key_rows) -> Tensor:
-        """Hidden layer of the message net on every edge, (B, q, k, H).
+    def compute_messages(self, hv: np.ndarray, query_rows, key_rows) -> np.ndarray:
+        """Hidden layer of the message net on every edge, (B, q, k, H), a plain array.
 
         a_qk = relu((h_q - h_k) W1 + b1), computed as relu(P_q - P_k + b1) with
-        P = h W1 on the node rows.  query_rows (B, q) are distinct rows of h;
-        key_rows (B, q, k) are distinct within each query's row.
+        P = hv W1 on the node rows, in one (B, q, k, H) buffer.  query_rows
+        (B, q) are distinct rows of hv; key_rows (B, q, k) are distinct within
+        each query's row.
         """
         l1 = self.message_net.l1
-        w1, b1 = l1.w, l1.b
-        hv = h.values
-        p = hv @ w1.values
-        pre = p[query_rows][:, :, None, :] - p[key_rows]
-        pre += b1.values
-        out = np.maximum(pre, 0.0, out=pre)  # backward reads only the mask out > 0
-        p_shape = p.shape
-
-        def grad_fn(g):
-            d_pre = g * (out > 0)
-            d_p = np.zeros(p_shape)
-            d_query = np.einsum("bqkh->bqh", d_pre)
-            d_p[query_rows] = d_query
-            # queries share keys; one query at a time keeps each write free of
-            # repeats and the sum in a fixed order
-            for j in range(key_rows.shape[1]):
-                d_p[key_rows[:, j]] -= d_pre[:, j]
-            return d_p @ w1.values.T, hv.T @ d_p, d_query.sum(axis=(0, 1))
-
-        return Tensor(out, (h, w1, b1), grad_fn)
+        p = hv @ l1.w.values
+        out = p[key_rows]
+        np.subtract(p[query_rows][:, :, None, :], out, out=out)
+        out += l1.b.values
+        return np.maximum(out, 0.0, out=out)
 
     def gated_update(self, h: Tensor, agg: Tensor, rows) -> Tensor:
         """Blend the two GRU updates with a per-node sigmoid gate (fixed to the
@@ -129,14 +148,13 @@ class MessagePassingUnit:
         return gru_round(h, agg, rows, (self.gru1, self.gru2), self.gate)
 
     def run(self, h: Tensor, graph: GraphBatch, rounds: int) -> Tensor:
-        """``rounds`` iterations of messages/aggregate/update from the encoded
+        """``rounds`` iterations of aggregate/update from the encoded
         states ``h``.  ``graph`` stays fixed for every round; the model picks it
         by graph key, so several pathways may run on one.  rounds=0 returns ``h``."""
         if rounds < 0:
             raise ContractError(f"rounds must be >= 0, got {rounds}")
         query_rows, key_rows = graph.rows()
         for _ in range(rounds):
-            hidden = self.compute_messages(h, query_rows, key_rows)
-            agg = aggregate(hidden, graph.weights, self.message_net.l2)
+            agg = aggregate(self, h, query_rows, key_rows, graph.weights)
             h = self.gated_update(h, agg, query_rows.reshape(-1))
         return h

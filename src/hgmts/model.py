@@ -26,7 +26,7 @@ from .autodiff import ContractError, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decomposition import decompose
 from .latent_graph import GraphBatch, build_sparse_adjacency_batch, gamma_count, sample_count
-from .message_passing import MessagePassingUnit
+from .message_passing import EDGE_BUDGET, MessagePassingUnit, edge_bytes
 from .nn import MLP2, ParamRegistry
 
 VARIANT_IDS = ("hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6")
@@ -244,6 +244,8 @@ class Model:
         rows do not depend on the call history or on the other windows.  The
         pass records a tape exactly when ``step`` is given: an inference pass
         computes the same values and keeps no parents, closures or saved arrays.
+        A batch whose message round would need more than ``EDGE_BUDGET`` bytes
+        of edge arrays is refused before any work.
         """
         arr = np.asarray(windows, dtype=np.float64)
         if arr.ndim not in (2, 3):
@@ -257,6 +259,13 @@ class Model:
                 f"window shape {(n_nodes, length)} does not match configured "
                 f"({self.cfg.n_nodes}, {self.cfg.input_len})"
             )
+        n = self.cfg.selection_size()
+        estimate = edge_bytes(batch, n, self.cfg.hidden)
+        if self.wiring.graph_scope is not None and estimate > EDGE_BUDGET:
+            raise ContractError(
+                f"a message round over a batch of {batch} windows with n={n} would hold "
+                f"about {estimate / 2**20:,.0f} MiB of (B, n, n, H) edge arrays, over the "
+                f"{EDGE_BUDGET / 2**20:,.0f} MiB budget; use a smaller batch or gamma")
         x = Tensor(arr.reshape(batch * n_nodes, length))
         ctx = ForwardContext(step=step, collect=collect)
         residual = x

@@ -250,6 +250,45 @@ def saving_gru_round(h: Tensor, x: Tensor, rows, cells, gate=None) -> Tensor:
     return Tensor(out, tuple(parents), grad_fn)
 
 
+def saving_aggregate(unit, h: Tensor, query_rows, key_rows, weights: Tensor) -> Tensor:
+    """``message_passing.aggregate`` as the two tape nodes it was before they
+    became one op: a messages node that keeps the (B, q, k, H) hidden layer
+    a_qk, and an aggregate node whose backward reads it.  The package op must
+    match it bitwise, value and gradients."""
+    l1, l2 = unit.message_net.l1, unit.message_net.l2
+    hv = h.values
+    p = hv @ l1.w.values
+    pre = p[query_rows][:, :, None, :] - p[key_rows]
+    pre += l1.b.values
+    av = np.maximum(pre, 0.0, out=pre)
+
+    def messages_grad(g):
+        d_pre = g * (av > 0)
+        d_p = np.zeros(p.shape)
+        d_query = np.einsum("bqkh->bqh", d_pre)
+        d_p[query_rows] = d_query
+        for j in range(key_rows.shape[1]):
+            d_p[key_rows[:, j]] -= d_pre[:, j]
+        return d_p @ l1.w.values.T, hv.T @ d_p, d_query.sum(axis=(0, 1))
+
+    hidden = Tensor(av, (h, l1.w, l1.b), messages_grad)
+    wv = weights.values
+    b, q, k, width = av.shape
+    summed = np.einsum("bqk,bqkh->bqh", wv, av).reshape(b * q, width)
+    w_sum = wv.sum(axis=2).reshape(b * q, 1)
+    out = summed @ l2.w.values
+    out += w_sum * l2.b.values
+
+    def aggregate_grad(g):
+        d_summed = (g @ l2.w.values.T).reshape(b, q, width)
+        d_weights = np.einsum("bqkh,bqh->bqk", av, d_summed)
+        d_weights += (g @ l2.b.values).reshape(b, q, 1)
+        d_hidden = wv[..., None] * d_summed[:, :, None, :]
+        return d_hidden, d_weights, summed.T @ g, (w_sum * g).sum(axis=0)
+
+    return Tensor(out, (hidden, weights, l2.w, l2.b), aggregate_grad)
+
+
 def ref_message_round(h, query_rows, key_rows, weights, msg, gru1, gru2=None, gate=None):
     """One message-passing round edge by edge, on plain arrays.
 

@@ -26,7 +26,7 @@ from hgmts.latent_graph import gamma_count, query_importance, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
 from hgmts.metrics import mse, persistence_forecast
 from hgmts.model import ModelConfig, build_variant
-from hgmts.nn import GRUCell, Linear, ParamRegistry
+from hgmts.nn import GRUCell, ParamRegistry
 from hgmts.synthetic import generate_coupled, write_csv
 from hgmts.training import TrainConfig, evaluate, train
 
@@ -200,15 +200,19 @@ def test_criterion_1_gradient_suite():
                                       ad.tanh(x))), [x])
 
         def aggregate_case():
-            hidden = Tensor(rng.uniform(-1, 1, (6, 4)).reshape(1, 2, 3, 4))
+            h = Tensor(rng.uniform(-1, 1, (6, 4)))
             w = Tensor(rng.uniform(0.1, 1, (1, 2, 3)))
             reg = ParamRegistry(seed=35)
-            out_layer = Linear(reg, "o", 4, 4)
+            unit = MessagePassingUnit(reg, "u", 5, 4, 4)
             jitter_params(reg, seed=36)
-            return finite_diff_max_err(
-                lambda: ad.sum(ad.mul(aggregate(hidden, w, out_layer),
-                                      aggregate(hidden, w, out_layer))),
-                [hidden, w, out_layer.w, out_layer.b])
+            net = unit.message_net
+            query_rows, key_rows = np.array([[0, 3]]), np.array([[[1, 2, 4], [0, 2, 5]]])
+
+            def loss():
+                out = aggregate(unit, h, query_rows, key_rows, w)
+                return ad.sum(ad.mul(out, out))
+
+            return finite_diff_max_err(loss, [h, w, net.l1.w, net.l1.b, net.l2.w, net.l2.b])
 
         for case in (decompose_case, encoder_case, gru_case, dense_graph_case,
                      sparse_graph_case, softmax_pool_case, aggregate_case):

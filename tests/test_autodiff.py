@@ -366,7 +366,7 @@ def op_cases():
     zero_d = Tensor(0.5)
     unit = MessagePassingUnit(ParamRegistry(seed=71), "u", 6, 4, 4)
     mlp = MLP2(ParamRegistry(seed=72), "m", 4, 3, 2)
-    h, x, hidden, weights = leaf(6, 4), leaf(2, 4), leaf(2, 2, 2, 4), leaf(2, 2, 2)
+    h, x, weights = leaf(6, 4), leaf(2, 4), leaf(2, 2, 2)
     query_rows = np.array([[0, 2], [3, 5]])
     key_rows = np.array([[[1, 2], [0, 1]], [[4, 5], [3, 4]]])
     return {
@@ -392,8 +392,7 @@ def op_cases():
         "gather": lambda: ad.gather(a, np.array([[2, 0], [1, 3], [0, 1]]), axis=1),
         "avgpool1d": lambda: ad.avgpool1d(a, 3),
         "gru_round": lambda: unit.gated_update(h, x, [3, 0]),
-        "compute_messages": lambda: unit.compute_messages(h, query_rows, key_rows),
-        "aggregate": lambda: aggregate(hidden, weights, unit.message_net.l2),
+        "aggregate": lambda: aggregate(unit, h, query_rows, key_rows, weights),
         "MLP2": lambda: mlp(a),
     }
 

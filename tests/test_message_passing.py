@@ -15,13 +15,14 @@ from helpers import (
     ref_message_round,
     ref_mlp2,
     ref_sigmoid,
+    saving_aggregate,
     saving_gru_round,
 )
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, ShapeMismatch, Tensor
 from hgmts.latent_graph import GraphBatch, build_sparse_adjacency_batch, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
-from hgmts.nn import MLP2, Linear, ParamRegistry, gru_round
+from hgmts.nn import MLP2, ParamRegistry, gru_round
 
 
 def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
@@ -38,18 +39,31 @@ def full_graph(n):
 
 
 def edge_messages(unit, h, src, dst):
-    """g(h_src - h_dst) per edge through the round's two message ops: each edge
-    is a query with one key of weight one."""
+    """g(h_src - h_dst) per edge through the round's message op: each edge is a
+    query with one key of weight one."""
     src = np.asarray(src, dtype=int).reshape(1, -1)
-    hidden = unit.compute_messages(h, src, np.asarray(dst, dtype=int).reshape(1, -1, 1))
-    return aggregate(hidden, Tensor(np.ones(src.shape + (1,))), unit.message_net.l2)
+    dst = np.asarray(dst, dtype=int).reshape(1, -1, 1)
+    return aggregate(unit, h, src, dst, Tensor(np.ones(src.shape + (1,))))
 
 
-def identity_layer(d):
-    """An output layer W2 = I, b2 = 0: aggregate then returns the weighted sum itself."""
-    layer = Linear(ParamRegistry(), "out", d, d)
-    layer.w.values = np.eye(d)
-    return layer
+def identity_unit(d):
+    """A unit whose message net is g(v) = v exactly: W1 = [I, -I], b1 = 0,
+    W2 = [I; -I], b2 = 0, so relu(v) - relu(-v) comes back; aggregate then
+    returns the weighted sum of h_q - h_k itself."""
+    unit, _ = make_unit(embed=d, hidden=2 * d)
+    net = unit.message_net
+    net.l1.w.values = np.hstack([np.eye(d), -np.eye(d)])
+    net.l2.w.values = np.vstack([np.eye(d), -np.eye(d)])
+    return unit
+
+
+def leaf_grads(out, probe, leaves):
+    """The gradients of sum(out * probe) in ``leaves``, which are cleared afterwards."""
+    ad.backward(ad.sum(ad.mul(out, Tensor(probe))))
+    grads = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    return grads
 
 
 def sample_graph(n_nodes, n, batch, seed):
@@ -179,49 +193,128 @@ class TestComputeMessages:
         assert len(np.unique(key_rows)) < key_rows.size  # the key-side sum has repeats
         rng = np.random.default_rng(53)
         h = Tensor(rng.uniform(-1, 1, (10, 3)))
-        probe = Tensor(rng.uniform(-1, 1, (2, 3, 3, 4)))
+        probe = Tensor(rng.uniform(-1, 1, (6, 3)))
         l1 = unit.message_net.l1
+        ones = Tensor(np.ones((2, 3, 3)))
 
         def loss():
-            return ad.sum(ad.mul(unit.compute_messages(h, query_rows, key_rows), probe))
+            return ad.sum(ad.mul(aggregate(unit, h, query_rows, key_rows, ones), probe))
 
         assert finite_diff_max_err(loss, [h, l1.w, l1.b]) < 1e-4
 
+    def test_builds_the_hidden_layer_as_a_plain_array(self):
+        unit, reg = make_unit(embed=3, hidden=4, seed=50)
+        jitter_params(reg, seed=51)
+        query_rows, key_rows = sample_graph(5, 3, 2, seed=52).rows()
+        h = np.random.default_rng(53).uniform(-1, 1, (10, 3))
+        hidden = unit.compute_messages(h, query_rows, key_rows)
+        assert type(hidden) is np.ndarray and hidden.shape == (2, 3, 3, 4)
+        l1 = unit.message_net.l1
+        src = np.repeat(query_rows.reshape(-1), 3)
+        expected = np.maximum((h[src] - h[key_rows.reshape(-1)]) @ l1.w.values + l1.b.values, 0.0)
+        np.testing.assert_allclose(hidden.reshape(-1, 4), expected, atol=1e-12)
+
 
 class TestAggregate:
+    """Messages and their weighted sum: one tape op per round."""
+
     def test_empty_neighborhood_is_zero(self):
-        layer = identity_layer(4)
-        no_queries = aggregate(Tensor(np.zeros((1, 0, 0, 4))), Tensor(np.zeros((1, 0, 0))), layer)
+        unit = identity_unit(4)
+        h = Tensor(np.random.default_rng(8).uniform(-1, 1, (2, 4)))
+        no_queries = aggregate(unit, h, np.zeros((1, 0), int), np.zeros((1, 0, 0), int),
+                               Tensor(np.zeros((1, 0, 0))))
         assert no_queries.shape == (0, 4)
-        no_keys = aggregate(Tensor(np.zeros((1, 1, 0, 4))), Tensor(np.zeros((1, 1, 0))), layer)
+        no_keys = aggregate(unit, h, np.zeros((1, 1), int), np.zeros((1, 1, 0), int),
+                            Tensor(np.zeros((1, 1, 0))))
         np.testing.assert_array_equal(no_keys.values, np.zeros((1, 4)))
 
     def test_single_neighbor_full_weight(self):
         m = np.random.default_rng(8).uniform(-1, 1, (1, 4))
-        out = aggregate(Tensor(m.reshape(1, 1, 1, 4)), Tensor(np.ones((1, 1, 1))),
-                        identity_layer(4))
+        h = Tensor(np.vstack([m, np.zeros((1, 4))]))  # h_0 - h_1 = m
+        out = aggregate(identity_unit(4), h, np.array([[0]]), np.array([[[1]]]),
+                        Tensor(np.ones((1, 1, 1))))
         np.testing.assert_array_equal(out.values[0], m[0])
 
     def test_two_neighbors_weighted_sum(self):
         m = np.random.default_rng(9).uniform(-1, 1, (2, 4))
-        out = aggregate(Tensor(m.reshape(1, 1, 2, 4)), Tensor(np.array([[[0.25, 0.75]]])),
-                        identity_layer(4))
+        h = Tensor(np.vstack([np.zeros((1, 4)), -m]))  # h_0 - h_k = m_k
+        out = aggregate(identity_unit(4), h, np.array([[0]]), np.array([[[1, 2]]]),
+                        Tensor(np.array([[[0.25, 0.75]]])))
         np.testing.assert_allclose(out.values[0], 0.25 * m[0] + 0.75 * m[1], atol=1e-15)
 
     def test_gradient_check_with_weights_not_summing_to_one(self):
         unit, reg = make_unit(embed=3, hidden=4, seed=54)
         jitter_params(reg, seed=55)  # a nonzero b2, so the (sum_k w_qk) b2 term counts
         rng = np.random.default_rng(56)
-        hidden = Tensor(rng.uniform(0, 1, (2, 3, 3, 4)))
+        h = Tensor(rng.uniform(-1, 1, (10, 3)))
         weights = Tensor(rng.uniform(0.1, 1.0, (2, 3, 3)))
         assert np.abs(weights.values.sum(axis=2) - 1.0).min() > 0.1
-        l2 = unit.message_net.l2
+        query_rows, key_rows = sample_graph(5, 3, 2, seed=52).rows()
+        net = unit.message_net
 
         def loss():
-            out = aggregate(hidden, weights, l2)
+            out = aggregate(unit, h, query_rows, key_rows, weights)
             return ad.sum(ad.mul(out, out))
 
-        assert finite_diff_max_err(loss, [hidden, weights, l2.w, l2.b]) < 1e-4
+        leaves = [h, weights, net.l1.w, net.l1.b, net.l2.w, net.l2.b]
+        assert finite_diff_max_err(loss, leaves) < 1e-4
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    @pytest.mark.parametrize("n", [5, 3, 0])
+    def test_gradient_check(self, n, single_gru):
+        """n = N, n < N (queries of a window share keys) and the empty graph, with
+        weights that do not sum to one and a nonzero b2."""
+        unit, reg = make_unit(embed=3, hidden=4, seed=70, single_gru=single_gru)
+        jitter_params(reg, seed=71)
+        graph = sample_graph(5, n, 2, seed=72)
+        query_rows, key_rows = graph.rows()
+        if n:
+            assert not np.allclose(graph.weights.values.sum(axis=2), 1.0)
+        if 1 < n < 5:
+            assert len(np.unique(key_rows[0])) < key_rows[0].size
+        rng = np.random.default_rng(73)
+        h = Tensor(rng.uniform(-1, 1, (10, 3)))
+        probe = Tensor(rng.uniform(-1, 1, (2 * n, 3)))
+        net = unit.message_net
+        assert np.abs(net.l2.b.values).min() > 0
+
+        def loss():
+            out = aggregate(unit, h, query_rows, key_rows, graph.weights)
+            return ad.sum(ad.mul(ad.mul(out, out), probe))
+
+        leaves = [h, graph.weights, net.l1.w, net.l1.b, net.l2.w, net.l2.b]
+        assert finite_diff_max_err(loss, leaves) < 1e-4
+
+    @pytest.mark.parametrize("single_gru", [False, True])
+    @pytest.mark.parametrize("n", [5, 3, 0])
+    def test_bitwise_equal_to_the_two_node_composition(self, n, single_gru):
+        unit, reg = make_unit(embed=4, hidden=3, seed=75, single_gru=single_gru)
+        jitter_params(reg, seed=76, scale=0.5)
+        graph = sample_graph(5, n, 3, seed=77)
+        query_rows, key_rows = graph.rows()
+        rng = np.random.default_rng(78)
+        h = Tensor(rng.uniform(-1, 1, (15, 4)))
+        probe = rng.uniform(-1, 1, (3 * n, 4))
+        net = unit.message_net
+        leaves = [h, graph.weights, net.l1.w, net.l1.b, net.l2.w, net.l2.b]
+        out = aggregate(unit, h, query_rows, key_rows, graph.weights)
+        ref = saving_aggregate(unit, h, query_rows, key_rows, graph.weights)
+        assert out.values.tobytes() == ref.values.tobytes()
+        for grad, ref_grad in zip(leaf_grads(out, probe, leaves), leaf_grads(ref, probe, leaves)):
+            assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes()
+
+    def test_one_tape_node_that_keeps_no_edge_array(self):
+        unit, _ = make_unit(embed=4, hidden=3, seed=79)
+        graph = sample_graph(5, 3, 2, seed=80)
+        query_rows, key_rows = graph.rows()
+        h = Tensor(np.random.default_rng(81).uniform(-1, 1, (10, 4)))
+        out = aggregate(unit, h, query_rows, key_rows, graph.weights)
+        net = unit.message_net
+        assert out._parents == (h, graph.weights, net.l1.w, net.l1.b, net.l2.w, net.l2.b)
+        parent_values = [id(p.values) for p in out._parents]
+        kept = sorted(a.shape for a in closure_arrays(out._grad_fn)
+                      if a.dtype == np.float64 and id(a) not in parent_values)
+        assert kept == [(6, 1), (6, 3)]  # the weight sums and the weighted sum
 
 
 class TestGatedUpdate:
@@ -421,8 +514,7 @@ class TestRunMessagePassing:
 
         h0 = unit.encode_nodes(x)
         query_rows, key_rows = edges.rows()
-        hidden = unit.compute_messages(h0, query_rows, key_rows)
-        agg = aggregate(hidden, edges.weights, unit.message_net.l2)
+        agg = aggregate(unit, h0, query_rows, key_rows, edges.weights)
         expected = unit.gated_update(h0, agg, query_rows.reshape(-1)).values
         np.testing.assert_allclose(out, expected, atol=1e-12)
 

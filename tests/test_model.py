@@ -3,6 +3,7 @@
 import hashlib
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,25 @@ class TestModelForward:
     def test_window_array_of_wrong_rank_rejected_naming_its_shape(self, shape):
         with pytest.raises(ContractError, match=re.escape(str(shape))):
             tiny_model().forward_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("step", [None, 0])
+    def test_edge_memory_over_budget_refused_before_any_work(self, step):
+        """N=2000 at gamma 1: a round over 8 windows would need 8 * 2000^2 * 8 * 8
+        bytes per (B, n, n, H) array.  Refused before even one (B, n, H) row array."""
+        cfg = ModelConfig(n_nodes=2000, input_len=12, horizon=4, embed_dim=8, kernel=5,
+                          stacks=1, rounds=1, gamma=1.0)
+        windows = np.zeros((8, 2000, 12))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match=r"batch of 8 windows with n=2000 would "
+                                                    r"hold about 2,441 MiB"):
+                build_variant(cfg).forward_batch(windows, step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000 * 8 * 8
+        no_graph = build_variant(ModelConfig(**{**vars(cfg), "variant": "hgmts4"}))
+        assert no_graph.forward_batch(windows[:1], step=step)[0].shape == (2000, 4)
 
     def test_inference_pass_cannot_be_differentiated(self):
         model = tiny_model()

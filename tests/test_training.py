@@ -283,7 +283,7 @@ class TestTapeSize:
     """What one training step's tape holds, at small_setup's shape (1 stack, 1 round).
     Each MLP2 and each round is one node; a change to these figures is deliberate."""
 
-    @pytest.mark.parametrize("variant, nodes, nbytes", [("hgmts1", 98, 78_872),
+    @pytest.mark.parametrize("variant, nodes, nbytes", [("hgmts1", 96, 70_680),
                                                         ("hgmts4", 28, 24_456)])
     def test_training_step_tape_is_pinned(self, variant, nodes, nbytes):
         model, prepared = small_setup(variant=variant)
@@ -292,6 +292,22 @@ class TestTapeSize:
         loss = mse_loss(forecast, np.concatenate([y for _, y in batch]))
         assert len(tape_nodes(loss)) == nodes
         assert tape_bytes(loss) == nbytes
+
+    def test_tape_grows_with_n_by_graph_arrays_only(self):
+        """From n = N/4 to n = N, one hgmts1 step's tape grows by at most 16
+        (B, n, n)-sized arrays: each of the step's two graphs keeps its logits,
+        weights and index arrays, and no round keeps its (B, n, n, H) hidden
+        layer, which at H = 8 would be 8 such arrays per round and pathway."""
+        n_nodes, batch = 32, 2
+        rng = np.random.default_rng(0)
+        windows, targets = rng.uniform(-1, 1, (batch, n_nodes, 12)), rng.uniform(-1, 1, (64, 4))
+        nbytes = []
+        for gamma in (0.25, 1.0):
+            cfg = ModelConfig(n_nodes=n_nodes, input_len=12, horizon=4, embed_dim=4, hidden_dim=8,
+                              kernel=5, stacks=1, rounds=2, gamma=gamma)
+            forecast = build_variant(cfg).forward_batch(windows, step=0)[0]
+            nbytes.append(tape_bytes(mse_loss(forecast, targets)))
+        assert nbytes[1] - nbytes[0] <= 16 * batch * n_nodes**2 * 8
 
 
 class TestReportAveraging:

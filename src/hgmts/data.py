@@ -70,13 +70,42 @@ def load_csv(path, name: str | None = None, frequency: str | None = None,
     channels = [c.strip() for c in header[1:]]
     if not channels:
         raise ContractError(f"{path}: no data channels found")
+    body = lines[1:]
+    stamps = [line.partition(",")[0].strip() for line in body]
+    cells = [line.partition(",")[2] for line in body]
+    values = None
+    if all(cells):  # loadtxt skips empty lines, so a row count that matches is row for row
+        try:  # numpy's C reader; a cell it refuses goes the row-by-row way below
+            values = np.loadtxt(cells, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(body), len(channels)):
+        values = _parse_rows(path, body, channels, forward_fill)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:  # float() parses nan and inf; report the first such cell
+        row_i, col = bad[0]
+        cell = lines[row_i + 1].split(",")[col + 1].strip()
+        raise ContractError(
+            f"{path}: non-finite value {cell!r} at row {row_i + 1}, column {channels[col]!r}"
+        )
+    _check_monotone(stamps, path)
+    return Dataset(
+        name=name or str(path),
+        values=values,
+        channels=channels,
+        timestamps=stamps,
+        frequency=frequency,
+    )
+
+
+def _parse_rows(path, body: list[str], channels: list[str], forward_fill: bool) -> np.ndarray:
+    """The data rows' numeric cells, one row at a time with Python's float(); names
+    the first row of the wrong length and the first empty or non-numeric cell."""
     rows = []
-    stamps: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=1):
+    for lineno, line in enumerate(body, start=1):
         cells = line.split(",")
         if len(cells) != len(channels) + 1:
             raise ContractError(f"{path}: row {lineno} has {len(cells)} cells, expected {len(channels) + 1}")
-        stamps.append(cells[0].strip())
         try:
             row = np.fromiter(map(float, cells[1:]), np.float64, len(channels))
         except ValueError:  # an empty or non-numeric cell: find it one cell at a time
@@ -96,22 +125,7 @@ def load_csv(path, name: str | None = None, frequency: str | None = None,
                         f"{path}: non-numeric value {cell!r} at row {lineno}, column {channels[ci]!r}"
                     ) from None
         rows.append(row)
-    values = np.asarray(rows, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:  # float() parses nan and inf; report the first such cell
-        row_i, col = bad[0]
-        cell = lines[row_i + 1].split(",")[col + 1].strip()
-        raise ContractError(
-            f"{path}: non-finite value {cell!r} at row {row_i + 1}, column {channels[col]!r}"
-        )
-    _check_monotone(stamps, path)
-    return Dataset(
-        name=name or str(path),
-        values=values,
-        channels=channels,
-        timestamps=stamps,
-        frequency=frequency,
-    )
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _check_monotone(stamps: list[str], path) -> None:

@@ -177,7 +177,8 @@ class Block:
         """The batch's sparse graphs over the stacked embedding rows.
 
         Every window shares one key sample, seeded by (model seed, stack, block,
-        pathway index) and, in training, the step as spawn key.
+        pathway index) and, in training, the step as spawn key.  Reads only
+        ``ctx.step``, so both pathways may build at once.
         """
         cfg = self.cfg
         pw = self.pathways[pathway_name]
@@ -185,38 +186,60 @@ class Block:
             [cfg.seed, self.stack_index, self.block_index, list(self.pathways).index(pathway_name)],
             spawn_key=() if ctx.step is None else (ctx.step,),
         )
-        graphs = build_sparse_adjacency_batch(
+        return build_sparse_adjacency_batch(
             h, pw.wq, pw.wk, cfg.n_nodes, cfg.selection_size(), seed
         )
-        if ctx.collect:
-            ctx.graph_records.extend(
-                (self.stack_index, self.block_index, pathway_name, b, adj)
-                for b, adj in enumerate(graphs)
-            )
-        return graphs
+
+    def _encode(self, name: str, comp: Tensor, ctx: ForwardContext) -> tuple:
+        """Phase 1 of a pathway: its embeddings, and the graphs it owns (else None)."""
+        pw = self.pathways[name]
+        h = pw.unit.encode_nodes(comp)
+        return h, self._build_graph(name, h, ctx) if pw.wq is not None else None
+
+    def _heads(self, name: str, h: Tensor, ctx: ForwardContext) -> tuple:
+        """Phase 2 of a pathway: its rounds, then its backcast and forecast heads."""
+        pw = self.pathways[name]
+        if pw.graph_key is not None:
+            h = pw.unit.run(h, ctx.graphs[pw.graph_key], self.cfg.rounds)
+        return pw.backcast_head(h), pw.forecast_head(h)
 
     def forward(self, x: Tensor, ctx: ForwardContext) -> BlockOutput:
-        """Decompose, run each pathway, and sum the head outputs."""
+        """Decompose, run each pathway, and sum the head outputs.
+
+        Two phases, each over every pathway: encode and build the graph the
+        pathway owns (a shared graph's owner is the first pathway to use it),
+        then the rounds and heads.  With two pathways over at least
+        ``ad.PARALLEL_MIN_SIZE`` embedding elements, each phase runs them on two
+        threads.  Each phase's results are committed to ``ctx`` and summed in
+        pathway order afterwards, so every array goes through the same ops as
+        in a serial pass.
+        """
         cfg = self.cfg
         if self.wiring.single_pathway:
-            components = {"main": x}
+            states = {"main": x}
         else:
             dec = decompose(x, cfg.kernel, cfg.padding)
-            components = {"seas": dec.seasonal, "trend": dec.trend}
-        backcast = None
-        forecast = None
-        for name, comp in components.items():
-            pw = self.pathways[name]
-            h = pw.unit.encode_nodes(comp)
-            key = pw.graph_key
-            if key is not None:
-                if key not in ctx.graphs:  # the key's owner runs first
-                    ctx.graphs[key] = self._build_graph(name, h, ctx)
-                h = pw.unit.run(h, ctx.graphs[key], cfg.rounds)
-            bc = pw.backcast_head(h)
-            fc = pw.forecast_head(h)
-            backcast = bc if backcast is None else ad.add(backcast, bc)
-            forecast = fc if forecast is None else ad.add(forecast, fc)
+            states = {"seas": dec.seasonal, "trend": dec.trend}
+            del dec  # the components die with phase 1
+        parallel = len(states) == 2 and x.shape[0] * cfg.embed_dim >= ad.PARALLEL_MIN_SIZE
+
+        def each(phase):  # phase(name, state, ctx) over the pathways, in pathway order
+            if parallel:
+                (a, state_a), (b, state_b) = states.items()
+                return ad.both(lambda: phase(a, state_a, ctx), lambda: phase(b, state_b, ctx), True)
+            return [phase(name, state, ctx) for name, state in states.items()]
+
+        for name, (h, graphs) in zip(list(states), each(self._encode)):
+            states[name] = h
+            if graphs is not None:
+                ctx.graphs[self.pathways[name].graph_key] = graphs
+                if ctx.collect:
+                    ctx.graph_records.extend(
+                        (self.stack_index, self.block_index, name, b, adj)
+                        for b, adj in enumerate(graphs))
+        (backcast, forecast), *rest = each(self._heads)
+        for bc, fc in rest:
+            backcast, forecast = ad.add(backcast, bc), ad.add(forecast, fc)
         return BlockOutput(backcast=backcast, forecast=forecast)
 
 

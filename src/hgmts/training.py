@@ -126,9 +126,10 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
     """Mini-batch Adam with the halving schedule; returns best-validation weights.
 
     The model is left holding the parameters of its best validation epoch.
-    A step whose loss is not finite, or a step's forward pass or a validation
-    pass that raises NumericError, raises TrainingDiverged naming the epoch
-    and batch (or the validation pass) and the parameter norm.
+    A step whose loss is not finite, a validation MSE that is not finite, or a
+    step's forward pass or a validation pass that raises NumericError, raises
+    TrainingDiverged naming the epoch and batch (or the validation pass) and
+    the parameter norm.
     """
     if not train_windows:
         raise ContractError("train requires at least one training window")
@@ -152,6 +153,8 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
         with _diverges_on_numeric_error(model, f"the validation pass of epoch {epoch}"):
             val = (evaluate(model, val_windows, batch_size=cfg.batch_size)[0] if val_windows
                    else train_loss)
+            if not math.isfinite(val):
+                raise ad.NumericError(f"non-finite validation MSE {val}")
         history.append(EpochStats(epoch=epoch, lr=adam.lr, train_loss=train_loss, val_mse=val))
         if val < best_val:
             best_val = val

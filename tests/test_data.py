@@ -75,6 +75,26 @@ class TestLoadCsv:
         with pytest.raises(ContractError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cells", [["-0.0", "1e-320", " 2.5 "], ["1_000", "-0.0", "7"]])
+    def test_cells_parse_as_float_does(self, tmp_path, cells):
+        """numpy's reader takes the first row; the second goes the row-by-row way."""
+        path = write(tmp_path, "ts,a,b,c\n1,0.1,2e-308,-3\n2," + ",".join(cells) + "\n")
+        want = np.array([[0.1, 2e-308, -3.0], [float(c) for c in cells]])
+        assert load_csv(path).values.tobytes() == want.tobytes()
+
+    def test_overflowing_cell_is_named(self, tmp_path):
+        path = write(tmp_path, "ts,a,b\n1,1.0,2.0\n2,3.0,1e400\n")
+        with pytest.raises(ContractError, match=r"non-finite value '1e400' at row 2, column 'b'"):
+            load_csv(path)
+
+    def test_crlf_file_parses_as_float_does(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"ts,a,b\r\n1,0.1,-0.0\r\n2,1e-320,2.5\r\n")
+        ds = load_csv(path)
+        assert ds.channels == ["a", "b"] and ds.timestamps == ["1", "2"]
+        want = np.array([[0.1, -0.0], [1e-320, 2.5]])
+        assert ds.values.tobytes() == want.tobytes()
+
 
 class TestSplit:
     def test_seventy_ten_twenty(self):

@@ -155,6 +155,14 @@ class TestTrainLoop:
             train(model, prepared.train[:8], prepared.val[:4],
                   TrainConfig(max_epochs=1, batch_size=8, seed=0))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_validation_mse_aborts_naming_the_pass(self):
+        model, prepared = small_setup(variant="hgmts4")
+        huge = [(np.full_like(x, 1e306), np.full_like(y, 1e306)) for x, y in prepared.val[:4]]
+        with pytest.raises(TrainingDiverged, match="non-finite validation MSE inf at the "
+                                                   "validation pass of epoch 0; parameter norm"):
+            train(model, prepared.train[:8], huge, TrainConfig(max_epochs=3, batch_size=8, seed=0))
+
     def test_empty_training_set_rejected(self):
         model, prepared = small_setup()
         with pytest.raises(ContractError):

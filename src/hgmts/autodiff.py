@@ -2,13 +2,14 @@
 
 While recording is on, every operation returns a new :class:`Tensor` that
 remembers its parents and how to push an incoming gradient back to them.
-Calling :func:`backward` on a scalar walks the recorded graph once in reverse
-topological order.  The graph (the "tape") is rebuilt from scratch on every
-recorded forward pass, so ordinary Python control flow in model code needs no
-special handling.  Inside ``with recording(False)`` an operation computes the
-same values but keeps no parents, and its gradient function is one shared
-refusal, so its closure and the arrays the closure saved die with the
-operation; recording is a per-thread setting and is on by default.
+Calling :func:`backward` on a scalar walks the recorded graph once, running
+each node after every node that consumed it.  The graph (the "tape") is
+rebuilt from scratch on every recorded forward pass, so ordinary Python
+control flow in model code needs no special handling.  Inside
+``with recording(False)`` an operation computes the same values but keeps no
+parents, and its gradient function is one shared refusal, so its closure and
+the arrays the closure saved die with the operation; recording is a
+per-thread setting and is on by default.
 
 Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
 shape or a tensor and a scalar on the right; anything else raises
@@ -17,7 +18,8 @@ distinct along the gathered axis, so its backward is a plain write.
 
 Tensors are value-like and never mutate their inputs.  :func:`both` runs two
 independent calls on two threads under the caller's recording switch; the
-tape they build is one tape, and a backward pass runs on one thread.
+tape they build is one tape.  A backward pass may drain that tape on the same
+two threads, and sums every gradient in the one-thread order.
 Everything is float64: at desk scale, gradient checking and bitwise
 reproducibility matter more than speed.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import heapq
 import os
 import threading
 
@@ -67,14 +70,16 @@ class recording:
 
 # Callers ask ``both`` for two threads when their (rows, embed_dim) state arrays
 # hold at least this many elements.  The crossover, measured as one hgmts1 training
-# step (D=32, 3 stacks of 3 rounds, 2 cores, one BLAS thread), threaded time over
-# serial time: 1.16 at 8,192 elements, 1.07 at 12,288, 1.01 at 16,384, 0.71 at
-# 32,768 and 0.68 at 82,176.
-PARALLEL_MIN_SIZE = 2**14
+# step with a two-thread backward pass (N=8, D=32, 3 stacks of 3 rounds, batch 32 to
+# 128, 2 cores, one BLAS thread), threaded time over serial time in two runs:
+# 1.07 and 0.96 at 8,192 elements (a tie), 0.92 at 10,240, 0.83 and 0.90 at 12,288,
+# 0.79 at 14,336, 0.70 at 16,384 and 0.58 at 32,768.  A forward pass alone: 0.97
+# at 8,192, 1.02 at 10,240, 0.93 at 12,288 and 0.82 at 16,384.
+PARALLEL_MIN_SIZE = 3 * 2**12
 
 _pool: tuple = (None, None)  # (pid, one-thread executor); a forked child makes its own
 _pool_lock = threading.Lock()
-_on_worker = threading.local()
+_inside = threading.local()  # on for the worker, and for a caller while it runs ``second``
 
 
 def _usable_cpus() -> int:
@@ -88,7 +93,7 @@ def _worker():
     with _pool_lock:
         if _pool[0] != os.getpid():  # none yet, or inherited through fork: its thread is gone
             _pool = (os.getpid(), ThreadPoolExecutor(
-                1, "hgmts-worker", initializer=setattr, initargs=(_on_worker, "on", True)))
+                1, "hgmts-worker", initializer=setattr, initargs=(_inside, "on", True)))
         return _pool[1]
 
 
@@ -106,16 +111,19 @@ def both(first, second, parallel: bool) -> tuple:
     worker before it returns or raises; when both calls raise, ``first``'s error
     wins, as it would run first in order.  The two run inline, ``first`` first,
     without ``parallel``, on a process allowed fewer than 2 CPUs, or when called
-    from the worker itself (it would wait on its own queue).  The two calls must
-    not write anything the other reads.
+    inside a ``both``: from the worker, or from this thread's ``second`` (either
+    would queue behind the busy worker, which may be waiting on it).  Neither
+    call may write, without a lock, anything the other reads.
     """
-    if not parallel or getattr(_on_worker, "on", False) or _usable_cpus() < 2:
+    if not parallel or getattr(_inside, "on", False) or _usable_cpus() < 2:
         return first(), second()
     future = _worker().submit(contextvars.copy_context().run, _run_recording, _recording.on,
                               first)
+    _inside.on = True
     try:
         second_out = second()
     finally:
+        _inside.on = False
         first_out = future.result()
     return first_out, second_out
 
@@ -185,7 +193,103 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
+class _Walk:
+    """One backward pass over a tape, drained by one thread or two.
+
+    A node runs once every consumer on the tape has pushed its gradient into
+    it.  Each (consumer, parent) edge has a slot in its parent's sum, in the
+    order of a one-thread walk in reverse topological order: consumers by
+    descending position, then by parent-tuple index.  A gradient that arrives
+    early waits until the earlier slots are filled, so every sum adds the same
+    arrays in the same order however the nodes interleave.  A leaf takes its
+    gradient once its last slot is filled.  Drains take the ready op node of
+    highest position first; one drain alone therefore runs the op nodes in
+    reverse topological order, and no gradient arrives early.
+    """
+
+    def __init__(self, loss: Tensor):
+        self.order = order = _topo_order(loss)
+        position = {id(node): i for i, node in enumerate(order)}
+        self.total = total = [0] * len(order)  # per node, the edges into it
+        self.edges: list = [()] * len(order)  # per node, (parent position, slot) per parent
+        for i in range(len(order) - 1, -1, -1):
+            edges = []
+            for parent in order[i]._parents:
+                k = position[id(parent)]
+                edges.append((k, total[k]))
+                total[k] += 1
+            self.edges[i] = edges
+        self.slots = [0] * len(order)  # per node, its next slot to add
+        self.sums: list = [None] * len(order)  # per node, the sum of its added slots
+        self.sums[-1] = np.ones_like(loss.values)  # the root comes last
+        self.early: dict = {}  # (position, slot) -> a gradient that waits for earlier slots
+        self.ready = [1 - len(order)]  # a heap of negated positions
+        self.left = len(order)
+        self.waiting = 0  # drains waiting for a ready node
+        self.error: BaseException | None = None
+        self.lock = threading.Lock()
+        self.wake = threading.Condition(self.lock)
+
+    def _push(self, i: int, grads) -> None:
+        """Put node i's parent gradients (None: no gradient) into their slots;
+        a leaf whose slots are all filled takes its gradient here."""
+        total, slots, sums, early = self.total, self.slots, self.sums, self.early
+        for (k, slot), pg in zip(self.edges[i], grads):
+            if slot != slots[k]:
+                early[k, slot] = pg
+                continue
+            while True:
+                if pg is not None:
+                    sums[k] = pg if sums[k] is None else sums[k] + pg
+                slot += 1
+                if slot == total[k] or not early or (k, slot) not in early:
+                    break
+                pg = early.pop((k, slot))
+            slots[k] = slot
+            if slot == total[k]:
+                node = self.order[k]
+                if node._grad_fn is not None:
+                    heapq.heappush(self.ready, -k)
+                    continue
+                g, sums[k] = sums[k], None
+                if g is not None:
+                    node.grad = g if node.grad is None else node.grad + g
+                self.left -= 1
+
+    def drain(self) -> None:
+        """Run ready nodes until the walk ends or a node raises; a node's
+        gradient function runs outside the lock."""
+        lock, ready, sums, order, push = self.lock, self.ready, self.sums, self.order, self._push
+        done = None  # (position, parent gradients) of the node this drain last ran
+        try:
+            while True:
+                with lock:
+                    if done is not None:
+                        push(*done)
+                        done = None
+                        self.left -= 1
+                        if self.waiting and (len(ready) > 1 or not self.left):
+                            self.wake.notify()
+                    while not ready and self.left and self.error is None:
+                        self.waiting += 1
+                        self.wake.wait()
+                        self.waiting -= 1
+                    if not ready or self.error is not None:
+                        return
+                    i = -heapq.heappop(ready)
+                    g, sums[i] = sums[i], None
+                node = order[i]
+                done = (i, (None,) * len(node._parents) if g is None else node._grad_fn(g))
+                del g  # a drain that waits holds no gradient
+        except BaseException as exc:
+            with lock:
+                if self.error is None:
+                    self.error = exc
+                self.wake.notify_all()
+            raise
+
+
+def backward(loss: Tensor, parallel: bool = False) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf reachable from ``loss``.
 
     Op results keep ``.grad`` None: each intermediate gradient is dropped once
@@ -194,6 +298,13 @@ def backward(loss: Tensor) -> None:
     d(loss)/d(leaf) per leaf).  Gradient buffers are accumulated by
     reassignment and may share storage, so treat ``.grad`` as read-only.
 
+    With ``parallel``, the caller and :func:`both`'s worker drain the tape
+    together, each running a node whose consumers have all run; without it,
+    the caller drains alone.  Every sum keeps the one-thread order (see
+    :class:`_Walk`), so each ``.grad`` is bitwise the same either way.  When a
+    gradient function raises on either thread, both drains stop and the caller
+    gets that exception.
+
     ``loss`` must be an op result, and every op between it and the leaves must
     have been recorded: a tapeless op's gradient function raises ContractError.
     """
@@ -201,23 +312,8 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._grad_fn is None:
         raise ContractError("backward requires an op result, got a leaf tensor")
-    order = _topo_order(loss)
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(order):
-        g = pending.pop(id(node), None)
-        if g is None:
-            continue
-        if node._grad_fn is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if pg is None:
-                continue
-            key = id(parent)
-            if key in pending:
-                pending[key] = pending[key] + pg
-            else:
-                pending[key] = pg
+    walk = _Walk(loss)
+    both(walk.drain, walk.drain, parallel)
 
 
 # ---------------------------------------------------------------------------

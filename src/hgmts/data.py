@@ -193,7 +193,8 @@ def normalize(ds: Dataset, stats: NormalizationStats) -> Dataset:
 
 
 def denormalize(predictions: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Exact inverse of normalize for (N, K) node-major prediction blocks."""
+    """Exact inverse of normalize for (N, K) node-major prediction blocks, or a
+    stack of them."""
     return predictions * stats.std[:, None] + stats.mean[:, None]
 
 

@@ -13,20 +13,22 @@ def _check_shapes(y: np.ndarray, y_hat: np.ndarray) -> None:
         raise ShapeMismatch(f"metric shapes disagree: {y.shape} vs {y_hat.shape}")
 
 
-def mse(y, y_hat) -> float:
-    """Mean squared error over all N*K entries."""
+def mse(y, y_hat, axis=None):
+    """Mean squared error over all entries, or over ``axis`` only (an array)."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     _check_shapes(y, y_hat)
-    return float(np.mean((y - y_hat) ** 2))
+    out = np.mean((y - y_hat) ** 2, axis=axis)
+    return float(out) if axis is None else out
 
 
-def mae(y, y_hat) -> float:
-    """Mean absolute error over all N*K entries."""
+def mae(y, y_hat, axis=None):
+    """Mean absolute error over all entries, or over ``axis`` only (an array)."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     _check_shapes(y, y_hat)
-    return float(np.mean(np.abs(y - y_hat)))
+    out = np.mean(np.abs(y - y_hat), axis=axis)
+    return float(out) if axis is None else out
 
 
 def mse_loss(prediction: Tensor, target) -> Tensor:

@@ -134,11 +134,14 @@ class ForwardContext:
 
     ``step`` is the training step (None at inference); with the model seed and
     the pathway's place it is all that seeds a graph's key sample.  Only a pass
-    with a step records a tape.
+    with a step records a tape.  ``parallel`` says whether each block runs its
+    two pathways on two threads (:func:`autodiff.both`), and so whether the
+    step's backward pass drains its tape on two threads.
     """
 
     step: int | None = None
     collect: bool = False
+    parallel: bool = False
     graphs: dict = field(default_factory=dict)  # graph key -> GraphBatch
     graph_records: list = field(default_factory=list)  # (stack, block, pathway, window, adj)
 
@@ -208,11 +211,10 @@ class Block:
 
         Two phases, each over every pathway: encode and build the graph the
         pathway owns (a shared graph's owner is the first pathway to use it),
-        then the rounds and heads.  With two pathways over at least
-        ``ad.PARALLEL_MIN_SIZE`` embedding elements, each phase runs them on two
-        threads.  Each phase's results are committed to ``ctx`` and summed in
-        pathway order afterwards, so every array goes through the same ops as
-        in a serial pass.
+        then the rounds and heads.  With ``ctx.parallel``, each phase runs the
+        two pathways on two threads.  Each phase's results are committed to
+        ``ctx`` and summed in pathway order afterwards, so every array goes
+        through the same ops as in a serial pass.
         """
         cfg = self.cfg
         if self.wiring.single_pathway:
@@ -221,10 +223,9 @@ class Block:
             dec = decompose(x, cfg.kernel, cfg.padding)
             states = {"seas": dec.seasonal, "trend": dec.trend}
             del dec  # the components die with phase 1
-        parallel = len(states) == 2 and x.shape[0] * cfg.embed_dim >= ad.PARALLEL_MIN_SIZE
 
         def each(phase):  # phase(name, state, ctx) over the pathways, in pathway order
-            if parallel:
+            if ctx.parallel:
                 (a, state_a), (b, state_b) = states.items()
                 return ad.both(lambda: phase(a, state_a, ctx), lambda: phase(b, state_b, ctx), True)
             return [phase(name, state, ctx) for name, state in states.items()]
@@ -268,7 +269,9 @@ class Model:
         pass records a tape exactly when ``step`` is given: an inference pass
         computes the same values and keeps no parents, closures or saved arrays.
         A batch whose message round would need more than ``EDGE_BUDGET`` bytes
-        of edge arrays is refused before any work.
+        of edge arrays is refused before any work.  Two pathways whose stacked
+        (rows, embed_dim) states hold at least ``ad.PARALLEL_MIN_SIZE`` elements
+        run on two threads; ``ctx.parallel`` records that choice.
         """
         arr = np.asarray(windows, dtype=np.float64)
         if arr.ndim not in (2, 3):
@@ -290,7 +293,9 @@ class Model:
                 f"about {estimate / 2**20:,.0f} MiB of (B, n, n, H) edge arrays, over the "
                 f"{EDGE_BUDGET / 2**20:,.0f} MiB budget; use a smaller batch or gamma")
         x = Tensor(arr.reshape(batch * n_nodes, length))
-        ctx = ForwardContext(step=step, collect=collect)
+        ctx = ForwardContext(step=step, collect=collect, parallel=(
+            not self.wiring.single_pathway
+            and batch * n_nodes * self.cfg.embed_dim >= ad.PARALLEL_MIN_SIZE))
         residual = x
         forecast = None
         with ad.recording(step is not None):

@@ -143,10 +143,7 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
     z and r of each cell, and the gate's hidden layer.  The backward is written
     out.  It keeps z, r and the candidate of each cell, the gate's ReLU output
     and beta, and rebuilds r * h and the two cells' updates with the forward's
-    elementwise ops, so it recomputes no product with a weight.  With two cells
-    and at least ``ad.PARALLEL_MIN_SIZE`` state elements, the backward of cell 1
-    runs on a second thread beside that of cell 2 and the gate; the forward stays
-    on the caller's thread.
+    elementwise ops, so it recomputes no product with a weight.
     """
     if (gate is None) != (len(cells) == 1):
         raise ContractError("gru_round takes one cell without a gate or two cells with one")
@@ -198,35 +195,26 @@ def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -
             return ([gc * (1.0 - z) + d_rh * r, dh_z, dh_r], dx_terms,
                     [d_wz, d_bz, d_wr, d_br, d_wh, d_bh])
 
-        def add_terms(dh, dx, dh_terms, dx_terms):  # in place, in the order given
-            for term in dh_terms:
-                dh += term
-            for term in dx_terms:
-                dx += term
-            return dh, dx
+        def add_terms(acc, terms):  # in place, in the order given
+            for term in terms:
+                acc += term
 
-        def first_cell(gc):  # dh and dx summed from zero over cell 1's terms
-            dh_terms, dx_terms, grads = cell_back(cells[0], gc, *saved[0])
-            return (*add_terms(np.zeros_like(hv), np.zeros_like(xv), dh_terms, dx_terms), grads)
-
-        if gate is None:
-            dh, dx, grads = first_cell(g)
-            return (dh, dx, *grads)
-
-        def second_cell_and_gate():
-            dh_terms, dx_terms, grads = cell_back(cells[1], g - g * beta, *saved[1])
+        dh, dx = np.zeros_like(hv), np.zeros_like(xv)
+        dh_terms, dx_terms, grads = cell_back(cells[0], g if gate is None else g * beta, *saved[0])
+        add_terms(dh, dh_terms)
+        add_terms(dx, dx_terms)
+        if gate is not None:
+            dh_terms, dx_terms, more = cell_back(cells[1], g - g * beta, *saved[1])
             (z1, _, cand1), (z2, _, cand2) = saved
             diff = blend(z1, cand1) - blend(z2, cand2)  # as the forward formed it
             d_b_pre = (g * diff).sum(axis=1, keepdims=True) * beta * (1.0 - beta)
             dh_a, d_w1, d_b1 = back(gate.l1.w, (d_b_pre @ gate.l2.w.values.T) * (a > 0), hv,
                                     dx_terms)
             dh_terms.append(dh_a)
-            return dh_terms, dx_terms, grads + [d_w1, d_b1, a.T @ d_b_pre, d_b_pre.sum(axis=0)]
-
-        # the cells' GEMMs run on two threads at large sizes; the sums keep the serial order
-        (dh, dx, grads), (dh_terms, dx_terms, more) = ad.both(
-            lambda: first_cell(g * beta), second_cell_and_gate, hv.size >= ad.PARALLEL_MIN_SIZE)
-        return (*add_terms(dh, dx, dh_terms, dx_terms), *grads, *more)
+            add_terms(dh, dh_terms)
+            add_terms(dx, dx_terms)
+            grads += more + [d_w1, d_b1, a.T @ d_b_pre, d_b_pre.sum(axis=0)]
+        return (dh, dx, *grads)
 
     parents = [h, x]
     for cell in cells:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -15,6 +16,9 @@ from .data import NormalizationStats, denormalize
 from .metrics import mae, mse, mse_loss
 from .model import Model
 from .optim import AdamState, adam_step
+
+
+_SCORE_STACK = 64  # windows per stacked array in ``scores``
 
 
 class TrainingDiverged(RuntimeError):
@@ -105,7 +109,7 @@ def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, wh
     ys = np.concatenate([y for _, y in batch], axis=0)
     with _diverges_on_numeric_error(model, where):
         # the step count seeds this step's graph key samples
-        forecast, residual = model.forward_batch(xs, step=adam.step)[:2]
+        forecast, residual, ctx = model.forward_batch(xs, step=adam.step)
         loss = mse_loss(forecast, ys)
         if cfg.backcast_loss_weight > 0:
             loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)),
@@ -113,11 +117,11 @@ def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, wh
         value = loss.item()
         if not np.isfinite(value):
             raise ad.NumericError(f"non-finite loss {value}")
-    ad.backward(loss)
+    ad.backward(loss, parallel=ctx.parallel)  # on two threads where the forward pass was
     for p in adam.params.values():  # heads feeding only the unused final residual get zero grad
         if p.grad is None:
             p.grad = np.zeros_like(p.values)
-    del forecast, residual, loss  # the tape dies here, before Adam allocates its buffers
+    del forecast, residual, ctx, loss  # the tape dies here, before Adam allocates its buffers
     adam_step(adam)
     return value
 
@@ -185,18 +189,32 @@ def evaluate(model: Model, eval_windows: list, stats: NormalizationStats | None 
 
 
 def scores(windows: list, preds, stats: NormalizationStats | None = None) -> tuple[float, float]:
-    """Mean (MSE, MAE) of each window's forecast against its target; both are
-    de-normalized first when ``stats`` is given."""
+    """Mean over the windows of each window's (MSE, MAE) of its forecast against
+    its target; both are de-normalized first when ``stats`` is given.
+
+    ``preds`` yields one forecast per window, in order.  Windows are scored in
+    stacks of up to ``_SCORE_STACK``, each forecast copied as it arrives, so a
+    long split's forecasts are never all held at once, and a forecast that
+    views its batch's array lets that array die with the batch.
+    """
     if not windows:
         raise ContractError("scoring requires at least one window")
+    preds = iter(preds)
     mses, maes = [], []
-    for (_, y), pred in zip(windows, preds, strict=True):
+    for lo in range(0, len(windows), _SCORE_STACK):
+        ys = np.stack([y for _, y in windows[lo : lo + _SCORE_STACK]])
+        stack = [np.array(pred, dtype=np.float64) for pred in itertools.islice(preds, len(ys))]
+        if len(stack) < len(ys):
+            raise ContractError(f"scoring got {lo + len(stack)} forecasts for "
+                                f"{len(windows)} windows")
+        ps = np.stack(stack)
         if stats is not None:
-            pred = denormalize(pred, stats)
-            y = denormalize(y, stats)
-        mses.append(mse(y, pred))
-        maes.append(mae(y, pred))
-    return float(np.mean(mses)), float(np.mean(maes))
+            ys, ps = denormalize(ys, stats), denormalize(ps, stats)
+        mses.append(mse(ys, ps, axis=(1, 2)))
+        maes.append(mae(ys, ps, axis=(1, 2)))
+    if next(preds, None) is not None:
+        raise ContractError(f"scoring got more forecasts than its {len(windows)} windows")
+    return float(np.mean(np.concatenate(mses))), float(np.mean(np.concatenate(maes)))
 
 
 def forecasts(model: Model, windows: list, batch_size: int = 32):

@@ -20,8 +20,10 @@ import numpy as np
 
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
+from hgmts.data import denormalize
 from hgmts.decomposition import decompose
 from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, project_qk, select_queries
+from hgmts.metrics import mae, mse
 from hgmts.model import ForwardContext
 
 
@@ -334,6 +336,18 @@ def ref_sparse_adjacency_batch(h, wq, wk, n_nodes, n, seed):
         sel_ks.append(sel_k)
         weights.append(ref_softmax_rows(np.take_along_axis(key_logits, sel_k, axis=1)))
     return np.stack(sel_qs), np.stack(sel_ks), np.stack(weights)
+
+
+def ref_scores(windows, preds, stats=None) -> tuple[float, float]:
+    """``training.scores`` one window at a time: each window's MSE and MAE as a
+    float, then the mean of each list."""
+    mses, maes = [], []
+    for (_, y), pred in zip(windows, preds, strict=True):
+        if stats is not None:
+            pred, y = denormalize(pred, stats), denormalize(y, stats)
+        mses.append(mse(y, pred))
+        maes.append(mae(y, pred))
+    return float(np.mean(mses)), float(np.mean(maes))
 
 
 def reference_adam_step(state) -> None:

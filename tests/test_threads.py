@@ -1,21 +1,24 @@
-"""Two threads at large sizes: ``autodiff.both`` and the block and round that use it.
+"""Two threads at large sizes: ``autodiff.both``, the block that uses it, and the
+backward pass that drains one tape on two threads.
 
 The threaded path runs only when a batch's (rows, embed_dim) arrays reach
 ``autodiff.PARALLEL_MIN_SIZE``; the fixture below lowers it so that these tiny
-models run every two-pathway phase and every gated round's backward on two
-threads, and it claims 2 usable CPUs so the path runs on any host.
+models run every two-pathway phase and every backward pass on two threads, and
+it claims 2 usable CPUs so the path runs on any host.
 """
 
 import multiprocessing
+import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from helpers import jitter_params, saving_gru_round, tape_nodes
 from hgmts import autodiff as ad
-from hgmts.autodiff import NumericError, Tensor, _no_tape
+from hgmts.autodiff import ContractError, NumericError, Tensor, _no_tape
 from hgmts.message_passing import MessagePassingUnit
 from hgmts.metrics import mse_loss
 from hgmts.model import ModelConfig, VARIANT_IDS, build_variant
@@ -51,6 +54,52 @@ def encoder_threads(monkeypatch):
     return names
 
 
+class GradSpy:
+    """Wraps every gradient function recorded while installed: notes the thread
+    that runs it, sleeps a random 0-2 ms before about half of them once ``rng``
+    is set, and raises ``error`` the first time one runs on thread ``fail_on``."""
+
+    def __init__(self):
+        self.threads: list[str] = []
+        self.rng: random.Random | None = None
+        self.error, self.fail_on = None, None
+
+    def wrap(self, fn):
+        def spied(g):
+            here = where()
+            self.threads.append(here)
+            if here == self.fail_on:
+                self.fail_on = None
+                raise self.error
+            if self.rng is not None and self.rng.random() < 0.5:
+                time.sleep(self.rng.uniform(0, 0.002))
+            return fn(g)
+
+        return spied
+
+
+@pytest.fixture
+def grad_spy(monkeypatch):
+    spy = GradSpy()
+    init = Tensor.__init__
+
+    def spied_init(self, values, _parents=(), _grad_fn=None):
+        init(self, values, _parents, None if _grad_fn is None else spy.wrap(_grad_fn))
+
+    monkeypatch.setattr(Tensor, "__init__", spied_init)
+    return spy
+
+
+@pytest.fixture
+def short_switch_interval():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def windows(count, seed=0):
     rng = np.random.default_rng(seed)
     n, length, horizon = SMALL["n_nodes"], SMALL["input_len"], SMALL["horizon"]
@@ -70,7 +119,7 @@ def one_step_and_training(variant, backcast_weight):
     if backcast_weight:
         loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)), backcast_weight))
     nodes = len(tape_nodes(loss))
-    ad.backward(loss)
+    ad.backward(loss, parallel=ctx.parallel)
     grads = {name: None if p.grad is None else p.grad.tobytes()
              for name, p in model.parameters().items()}
     records = [(s, b, p, w, adj.selected_queries.tobytes(), adj.selected_keys.tobytes(),
@@ -79,6 +128,39 @@ def one_step_and_training(variant, backcast_weight):
                     TrainConfig(lr0=1e-3, max_epochs=2, batch_size=4, seed=0,
                                 backcast_loss_weight=backcast_weight)).history_csv()
     return forecast.values.tobytes(), residual.values.tobytes(), grads, nodes, records, history
+
+
+def step_grads(variant, parallel, seed=0):
+    """Every parameter's gradient, as bytes, after one backward pass of a fresh
+    model over a batch of 4 windows, with a backcast term in the loss."""
+    model = build_variant(ModelConfig(**SMALL, variant=variant))
+    batch = windows(4, seed=seed)
+    forecast, residual, _ = model.forward_batch(np.stack([x for x, _ in batch]), step=0)
+    loss = ad.add(mse_loss(forecast, np.concatenate([y for _, y in batch])),
+                  ad.mul(ad.mean(ad.mul(residual, residual)), 0.1))
+    ad.backward(loss, parallel=parallel)
+    return {name: None if p.grad is None else p.grad.tobytes()
+            for name, p in model.parameters().items()}
+
+
+def in_thread(fn, timeout=60):
+    """fn() on a daemon thread: its result or its error, or a failure when it has
+    not finished within ``timeout`` seconds."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = fn()
+        except Exception as exc:  # handed to the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), f"not finished within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 class TestBoth:
@@ -102,6 +184,23 @@ class TestBoth:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert out["both"] == (("worker", "worker"), "caller")
+
+    def test_a_call_from_second_runs_inline(self, threaded):
+        # first waits on second's nested call: queued behind the busy worker, that
+        # call would wait on first until the event times out
+        release = threading.Event()
+
+        def first():
+            release.wait(timeout=30)
+            return where()
+
+        def second():
+            nested = ad.both(where, where, True)
+            release.set()
+            return nested
+
+        assert in_thread(lambda: ad.both(first, second, True), timeout=10) == (
+            "worker", ("caller", "caller"))
 
     def test_worker_runs_under_the_recording_switch_and_errstate(self, threaded):
         x = Tensor(np.ones(3))
@@ -134,21 +233,81 @@ class TestBoth:
             ad.both(fail_first, fail, True)
 
 
+class TestThreadedBackward:
+    @pytest.mark.parametrize("variant", ["hgmts1", "hgmts2", "hgmts3", "hgmts6"])
+    def test_bitwise_the_serial_walk_in_any_order(self, variant, threaded, grad_spy,
+                                                  short_switch_interval):
+        serial = step_grads(variant, parallel=False)
+        assert "worker" not in grad_spy.threads
+        grad_spy.rng = random.Random(variant)
+        for _ in range(5):
+            assert in_thread(lambda: step_grads(variant, parallel=True)) == serial
+        assert "worker" in grad_spy.threads
+
+    @pytest.mark.parametrize("variant", ["hgmts1", "hgmts4", "hgmts5"])
+    def test_a_training_step_drains_on_two_threads_with_two_pathways(self, variant, threaded,
+                                                                     grad_spy):
+        grad_spy.rng = random.Random(2)  # only backward passes run gradient functions
+        in_thread(lambda: train(build_variant(ModelConfig(**SMALL, variant=variant)), windows(4),
+                                [], TrainConfig(max_epochs=1, batch_size=4)))
+        assert ("worker" in grad_spy.threads) == (variant != "hgmts5")
+
+    def test_two_callers_run_threaded_backward_passes_at_once(self, threaded,
+                                                              short_switch_interval):
+        # each caller's second drain queues behind the other's on the one worker, so
+        # it often starts after its walk has ended and must return at once
+        serial = [step_grads("hgmts1", parallel=False, seed=k) for k in (0, 1)]
+        start = threading.Barrier(2)
+        results: dict = {}
+
+        def work(k):
+            start.wait()
+            results[k] = [step_grads("hgmts1", parallel=True, seed=k) for _ in range(3)]
+
+        callers = [threading.Thread(target=work, args=(k,), daemon=True) for k in (0, 1)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert [results[k] for k in (0, 1)] == [[want] * 3 for want in serial]
+
+    @pytest.mark.parametrize("fail_on", ["worker", "caller"])
+    def test_an_error_on_either_thread_reaches_the_caller(self, fail_on, threaded, grad_spy):
+        serial = step_grads("hgmts1", parallel=False)
+        grad_spy.rng = random.Random(1)  # sleeps let the worker take nodes
+        grad_spy.error, grad_spy.fail_on = KeyError("gradient"), fail_on
+        with pytest.raises(KeyError) as raised:
+            in_thread(lambda: step_grads("hgmts1", parallel=True))
+        assert raised.value is grad_spy.error
+        assert in_thread(lambda: step_grads("hgmts1", parallel=True)) == serial
+
+    def test_a_tapeless_result_is_refused(self, threaded):
+        w = Tensor(np.ones((3, 2)))
+        with ad.recording(False):
+            tapeless = ad.mul(Tensor(np.ones((3, 2))), 2.0)
+        loss = ad.mean(ad.add(ad.mul(w, w), tapeless))
+        with pytest.raises(ContractError, match="computed without a tape"):
+            ad.backward(loss, parallel=True)
+
+
 class TestThreadedModel:
     @pytest.mark.parametrize("backcast_weight", [0.0, 0.1])
     @pytest.mark.parametrize("variant", VARIANT_IDS)
     def test_bitwise_equal_to_serial(self, variant, backcast_weight, monkeypatch,
-                                     encoder_threads):
+                                     encoder_threads, grad_spy):
         serial = one_step_and_training(variant, backcast_weight)
-        assert "worker" not in encoder_threads
+        assert "worker" not in encoder_threads + grad_spy.threads
         monkeypatch.setattr(ad, "PARALLEL_MIN_SIZE", 1)
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        grad_spy.rng = random.Random(0)  # sleeps free the caller's hold on the interpreter
         threaded = one_step_and_training(variant, backcast_weight)
-        assert ("worker" in encoder_threads) == (variant != "hgmts5")  # hgmts5 has one pathway
+        two_pathways = variant != "hgmts5"
+        assert ("worker" in encoder_threads) == two_pathways
+        assert ("worker" in grad_spy.threads) == two_pathways
         assert threaded == serial
 
-    def test_gated_round_backward_is_bitwise_the_round_that_saves_every_array(
-            self, threaded, monkeypatch):
+    def test_gated_round_backward_is_bitwise_the_round_that_saves_every_array(self):
         reg = ParamRegistry(seed=65)
         unit = MessagePassingUnit(reg, "u", 6, 4, 3)
         jitter_params(reg, seed=66, scale=0.5)
@@ -156,19 +315,8 @@ class TestThreadedModel:
         h, x = Tensor(rng.uniform(-1, 1, (5, 4))), Tensor(rng.uniform(-1, 1, (2, 4)))
         g = rng.uniform(-1, 1, (5, 4))
         cells = (unit.gru1, unit.gru2)
-        ran_on, both = [], ad.both
-
-        def spy(first, second, parallel):
-            def first_spied():
-                ran_on.append(where())
-                return first()
-
-            return both(first_spied, second, parallel)
-
-        monkeypatch.setattr(ad, "both", spy)
         grads = gru_round(h, x, [3, 0], cells, unit.gate)._grad_fn(g)
         ref_grads = saving_gru_round(h, x, [3, 0], cells, unit.gate)._grad_fn(g)
-        assert ran_on == ["worker"]
         assert [a.tobytes() for a in grads] == [a.tobytes() for a in ref_grads]
 
     def test_inference_through_the_worker_keeps_no_tape(self, threaded, encoder_threads):

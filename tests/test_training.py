@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import tape_bytes, tape_nodes
+from helpers import ref_scores, tape_bytes, tape_nodes
 from hgmts import training
 from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, _no_tape
 from hgmts.data import SplitSpec
@@ -91,6 +91,43 @@ def small_setup(seed=0, variant="hgmts1", length=400):
     cfg = ModelConfig(n_nodes=4, input_len=12, horizon=4, embed_dim=4, kernel=5,
                       stacks=1, rounds=1, gamma=1.0, seed=seed, variant=variant)
     return build_variant(cfg), prepared
+
+
+class TestScores:
+    """``scores`` stacks the windows and reduces each one along its own axes:
+    bitwise the per-window loop of ``helpers.ref_scores``."""
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_bitwise_the_per_window_scores(self, raw):
+        model, prepared = small_setup(length=600)
+        windows = prepared.test  # views of the split, more than one stack of them
+        assert len(windows) > training._SCORE_STACK
+        preds = list(training.forecasts(model, windows))
+        stats = prepared.stats if raw else None
+        got = training.scores(windows, iter(preds), stats)
+        assert got == ref_scores(windows, preds, stats)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_bitwise_at_wide_windows(self, raw):
+        ds, _ = generate_coupled(n_series=40, length=300, seed=4)
+        prepared = prepare_windows(ds, SplitSpec(0.5, 0.1, 0.4), 12, 24)
+        rng = np.random.default_rng(5)
+        preds = [rng.normal(size=y.shape) for _, y in prepared.test]
+        stats = prepared.stats if raw else None
+        got = training.scores(prepared.test, preds, stats)
+        assert got == ref_scores(prepared.test, preds, stats)
+
+    def test_one_forecast_per_window(self):
+        _, prepared = small_setup(length=600)
+        windows = prepared.test[:70]
+        preds = [y for _, y in windows]
+        assert training.scores(windows, preds) == (0.0, 0.0)
+        with pytest.raises(ContractError, match="got 69 forecasts for 70 windows"):
+            training.scores(windows, preds[:-1])
+        with pytest.raises(ContractError, match="more forecasts than its 70 windows"):
+            training.scores(windows, preds + preds[:1])
+        with pytest.raises(ContractError, match="at least one window"):
+            training.scores([], [])
 
 
 class TestTrainLoop:

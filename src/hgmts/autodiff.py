@@ -1,15 +1,19 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
-While recording is on, every operation returns a new :class:`Tensor` that
-remembers its parents and how to push an incoming gradient back to them.
-Calling :func:`backward` on a scalar walks the recorded graph once, running
-each node after every node that consumed it.  The graph (the "tape") is
-rebuilt from scratch on every recorded forward pass, so ordinary Python
-control flow in model code needs no special handling.  Inside
-``with recording(False)`` an operation computes the same values but keeps no
-parents, and its gradient function is one shared refusal, so its closure and
-the arrays the closure saved die with the operation; recording is a
-per-thread setting and is on by default.
+While recording is on, every operation returns a new :class:`Tensor` whose
+tape node remembers the parents' nodes and how to push an incoming gradient
+back to them.  A node holds no value: each gradient function keeps, from the
+moment it is recorded, only the arrays its backward reads, so an op result's
+array lives exactly as long as the caller or some saved gradient function
+holds it.  A leaf (a parameter or data) is its own node, so the backward pass
+sets its ``.grad`` directly.  Calling :func:`backward` on a scalar walks the
+recorded graph once, running each node after every node that consumed it.
+The graph (the "tape") is rebuilt from scratch on every recorded forward
+pass, so ordinary Python control flow in model code needs no special
+handling.  Inside ``with recording(False)`` an operation computes the same
+values and every result shares one node with no parents, whose gradient
+function is a refusal, so the closure and the arrays it saved die with the
+operation; recording is a per-thread setting and is on by default.
 
 Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
 shape or a tensor and a scalar on the right; anything else raises
@@ -30,6 +34,7 @@ import contextvars
 import functools
 import heapq
 import os
+import queue
 import threading
 
 import numpy as np
@@ -77,8 +82,8 @@ class recording:
 # at 8,192, 1.02 at 10,240, 0.93 at 12,288 and 0.82 at 16,384.
 PARALLEL_MIN_SIZE = 3 * 2**12
 
-_pool: tuple = (None, None)  # (pid, one-thread executor); a forked child makes its own
-_pool_lock = threading.Lock()
+_jobs: tuple = (None, None)  # (pid, the worker's job queue); a forked child starts its own
+_jobs_lock = threading.Lock()
 _inside = threading.local()  # on for the worker, and for a caller while it runs ``second``
 
 
@@ -86,15 +91,30 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _worker():
-    from concurrent.futures import ThreadPoolExecutor  # 0.6 MB of modules, for threaded runs only
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """Run each ``(call, reply)`` job and put ``(result, error)`` on its reply queue."""
+    _inside.on = True
+    while True:
+        call, reply = jobs.get()
+        try:
+            reply.put((call(), None))
+        except BaseException as exc:  # raised again on the caller's thread
+            reply.put((None, exc))
+        del call, reply  # a waiting worker holds nothing of the last job
 
-    global _pool
-    with _pool_lock:
-        if _pool[0] != os.getpid():  # none yet, or inherited through fork: its thread is gone
-            _pool = (os.getpid(), ThreadPoolExecutor(
-                1, "hgmts-worker", initializer=setattr, initargs=(_inside, "on", True)))
-        return _pool[1]
+
+def _worker() -> queue.SimpleQueue:
+    """The job queue of this process's one worker thread, started on first use.
+
+    The thread is a daemon, so a job that never returns cannot keep the
+    interpreter from exiting."""
+    global _jobs
+    with _jobs_lock:
+        if _jobs[0] != os.getpid():  # none yet, or inherited through fork: its thread is gone
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="hgmts-worker", daemon=True).start()
+            _jobs = (os.getpid(), jobs)
+        return _jobs[1]
 
 
 def _run_recording(on: bool, fn):
@@ -107,24 +127,28 @@ def both(first, second, parallel: bool) -> tuple:
     worker thread while ``second`` runs on this one.
 
     The worker runs under this thread's recording switch and in a copy of its
-    context variables (numpy's ``errstate`` among them).  This thread joins the
-    worker before it returns or raises; when both calls raise, ``first``'s error
-    wins, as it would run first in order.  The two run inline, ``first`` first,
-    without ``parallel``, on a process allowed fewer than 2 CPUs, or when called
-    inside a ``both``: from the worker, or from this thread's ``second`` (either
-    would queue behind the busy worker, which may be waiting on it).  Neither
-    call may write, without a lock, anything the other reads.
+    context variables (numpy's ``errstate`` among them).  This thread waits for
+    the worker's result before it returns or raises; when both calls raise,
+    ``first``'s error wins, as it would run first in order.  The two run
+    inline, ``first`` first, without ``parallel``, on a process allowed fewer
+    than 2 CPUs, or when called inside a ``both``: from the worker, or from
+    this thread's ``second`` (either would queue behind the busy worker, which
+    may be waiting on it).  Neither call may write, without a lock, anything
+    the other reads.
     """
     if not parallel or getattr(_inside, "on", False) or _usable_cpus() < 2:
         return first(), second()
-    future = _worker().submit(contextvars.copy_context().run, _run_recording, _recording.on,
-                              first)
+    reply = queue.SimpleQueue()
+    _worker().put((functools.partial(contextvars.copy_context().run, _run_recording,
+                                     _recording.on, first), reply))
     _inside.on = True
     try:
         second_out = second()
     finally:
         _inside.on = False
-        first_out = future.result()
+        first_out, error = reply.get()
+        if error is not None:
+            raise error
     return first_out, second_out
 
 
@@ -136,29 +160,57 @@ def _no_tape(g):
         "when given a training step)")
 
 
+class _Node:
+    """An op result's place on the tape: its parents' nodes (a leaf parent is
+    its own node) and the gradient function aligned with them.  It holds no
+    value."""
+
+    __slots__ = ("_parents", "_grad_fn")
+
+    def __init__(self, parents: tuple, grad_fn):
+        self._parents = parents
+        self._grad_fn = grad_fn
+
+
+_NO_TAPE = _Node((), _no_tape)  # the one node of every op result computed while recording was off
+
+
 class Tensor:
-    """A node of the differentiation tape.
+    """A float64 value and its place on the differentiation tape.
 
     ``values`` is a float64 ndarray. A leaf (a parameter or data) is built
-    directly from values, with no parents and no gradient function; its
-    ``grad`` has the same shape and is set by the first backward pass that
-    reaches it.  An op result keeps ``grad`` None and carries a gradient
-    function aligned with its parent tuple, unless it was computed while
-    recording was off: then it keeps no parents, and its gradient function
-    refuses the backward pass that reaches it.
+    directly from values and is its own tape node, with no parents and no
+    gradient function; its ``grad`` has the same shape and is set by the first
+    backward pass that reaches it.  An op result keeps ``grad`` None and holds
+    a :class:`_Node`, the parents' nodes and a gradient function aligned with
+    them; the node does not hold the result, so its array dies with the last
+    Tensor or gradient function that holds it.  An op result computed while
+    recording was off holds the shared no-tape node: no parents, and a
+    gradient function that refuses the backward pass that reaches it.
+    ``_parents`` and ``_grad_fn`` read the node.
     """
 
-    __slots__ = ("values", "grad", "_parents", "_grad_fn")
+    __slots__ = ("values", "grad", "_node")
 
     def __init__(self, values, _parents=(), _grad_fn=None):
         if not _parents or type(values) is not np.ndarray:  # leaves; 0-d op results
             values = np.asarray(values, dtype=np.float64)
-        if _parents and not _recording.on:
-            _parents, _grad_fn = (), _no_tape
         self.values = values
         self.grad = None
-        self._parents = _parents
-        self._grad_fn = _grad_fn
+        if not _parents:
+            self._node = None  # a leaf is its own node
+        elif _recording.on:
+            self._node = _Node(tuple([p._node or p for p in _parents]), _grad_fn)
+        else:
+            self._node = _NO_TAPE
+
+    @property
+    def _parents(self) -> tuple:
+        return self._node._parents if self._node else ()
+
+    @property
+    def _grad_fn(self):
+        return self._node._grad_fn if self._node else None
 
     @property
     def shape(self):
@@ -173,11 +225,11 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Parents-before-children ordering, iterative to survive deep graphs."""
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list:
+    """Tape nodes, parents before children, iterative to survive deep graphs."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -208,7 +260,7 @@ class _Walk:
     """
 
     def __init__(self, loss: Tensor):
-        self.order = order = _topo_order(loss)
+        self.order = order = _topo_order(loss._node)
         position = {id(node): i for i, node in enumerate(order)}
         self.total = total = [0] * len(order)  # per node, the edges into it
         self.edges: list = [()] * len(order)  # per node, (parent position, slot) per parent
@@ -305,6 +357,11 @@ def backward(loss: Tensor, parallel: bool = False) -> None:
     gradient function raises on either thread, both drains stop and the caller
     gets that exception.
 
+    The walk reads tape nodes only: every gradient function holds the arrays
+    it reads, and a leaf, being its own node, takes its ``.grad`` from the
+    walk.  So the caller needs to keep no Tensor but ``loss``, and an op
+    result that no gradient function saved may be freed before the walk.
+
     ``loss`` must be an op result, and every op between it and the leaves must
     have been recorded: a tapeless op's gradient function raises ContractError.
     """
@@ -345,7 +402,8 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     if _pair("mul", a, b):
-        return Tensor(a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
+        av, bv = a.values, b.values
+        return Tensor(av * bv, (a, b), lambda g: (g * bv, g * av))
     return Tensor(a.values * b, (a,), lambda g: (g * b,))
 
 
@@ -399,7 +457,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    return Tensor(np.maximum(a.values, 0.0), (a,), lambda g: (g * (a.values > 0),))
+    av = a.values
+    return Tensor(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0),))
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:
@@ -489,9 +548,10 @@ def gather(a: Tensor, indices, axis: int) -> Tensor:
     """
     idx = np.asarray(indices, dtype=np.intp)
     out = np.take_along_axis(a.values, idx, axis=axis)
+    shape = a.values.shape
 
     def grad_fn(g):
-        gx = np.zeros_like(a.values)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, idx, g, axis=axis)
         return (gx,)
 

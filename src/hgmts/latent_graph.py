@@ -107,11 +107,28 @@ def query_importance(q: np.ndarray, k_sampled: np.ndarray) -> np.ndarray:
 
 def select_queries(scores: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest scores along the last axis, in ascending order;
-    ties go to the lowest index.  Picks the kept queries and each one's keys."""
-    if n > scores.shape[-1]:
-        raise ContractError(f"cannot select {n} queries from {scores.shape[-1]}")
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return np.sort(order[..., :n], axis=-1)
+    ties go to the lowest index.  Picks the kept queries and each one's keys.
+
+    A partition finds each row's n-th largest score t; the row keeps every
+    score above t and, lowest index first, as many equal to t as fill n.  That
+    is exactly the first n of a stable sort by descending score (-0.0 and 0.0
+    tie), without the sort.  Scores with a NaN, which such a sort puts last,
+    take the sort.
+    """
+    size = scores.shape[-1]
+    if n > size:
+        raise ContractError(f"cannot select {n} queries from {size}")
+    if n < 1 or np.isnan(scores).any():
+        order = np.argsort(-scores, axis=-1, kind="stable")
+        return np.sort(order[..., :n], axis=-1)
+    t = np.partition(scores, size - n, axis=-1)[..., size - n, None]
+    keep = scores >= t  # n in each row, or more where scores tie at t
+    if np.count_nonzero(keep) > keep.size // size * n:
+        above = scores > t
+        tied = keep & ~above
+        keep = above | (tied & (np.cumsum(tied, axis=-1) <= n - above.sum(axis=-1, keepdims=True)))
+    # a fresh array: np.nonzero's last index would be a view of its (count, ndim) buffer
+    return (np.flatnonzero(keep) % size).reshape(scores.shape[:-1] + (n,))
 
 
 def build_sparse_adjacency_batch(

@@ -110,18 +110,20 @@ def _train_step(model: Model, adam: AdamState, cfg: TrainConfig, batch: list, wh
     with _diverges_on_numeric_error(model, where):
         # the step count seeds this step's graph key samples
         forecast, residual, ctx = model.forward_batch(xs, step=adam.step)
+        parallel = ctx.parallel  # backward runs on two threads where the forward pass did
         loss = mse_loss(forecast, ys)
         if cfg.backcast_loss_weight > 0:
             loss = ad.add(loss, ad.mul(ad.mean(ad.mul(residual, residual)),
                                        cfg.backcast_loss_weight))
+        del forecast, residual, ctx  # from here the tape alone holds what backward reads
         value = loss.item()
         if not np.isfinite(value):
             raise ad.NumericError(f"non-finite loss {value}")
-    ad.backward(loss, parallel=ctx.parallel)  # on two threads where the forward pass was
+    ad.backward(loss, parallel=parallel)
     for p in adam.params.values():  # heads feeding only the unused final residual get zero grad
         if p.grad is None:
             p.grad = np.zeros_like(p.values)
-    del forecast, residual, ctx, loss  # the tape dies here, before Adam allocates its buffers
+    del loss  # the tape dies here, before Adam allocates its buffers
     adam_step(adam)
     return value
 
@@ -220,7 +222,10 @@ def scores(windows: list, preds, stats: NormalizationStats | None = None) -> tup
 def forecasts(model: Model, windows: list, batch_size: int = 32):
     """Each (x, y) window's (N, K) forecast, from one batched forward pass per
     ``batch_size`` windows; the passes record no tape, so each pass's arrays
-    die before the next one starts."""
+    die before the next one starts.  A ``batch_size`` below 1 raises
+    ContractError before any pass."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     for lo in range(0, len(windows), batch_size):
         xs = np.stack([x for x, _ in windows[lo : lo + batch_size]])
         yield from model.forward_batch(xs)[0].values.reshape(len(xs), model.cfg.n_nodes, -1)

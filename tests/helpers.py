@@ -1,9 +1,9 @@
 """Shared test utilities: finite-difference gradient oracle, tape audit and
 reference nets.
 
-The tape audit (``tape_nodes``, ``closure_arrays``, ``tape_bytes``) reads what
-a recorded tape keeps alive: its nodes, and the arrays their gradient
-functions saved.
+The tape audit (``tape_nodes``, ``closure_arrays``, ``tape_inventory``) reads
+what a recorded tape keeps alive: its nodes, the arrays their gradient
+functions saved, and the op outputs that outlive the forward pass unsaved.
 
 The reference implementations here are written directly against numpy and are
 kept independent of the package's tape so they can serve as oracles.  The
@@ -14,6 +14,7 @@ forms.
 
 import math
 import types
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ def finite_diff_max_err(build_loss, leaves, step=1e-4, max_per_leaf=None, rng=No
 
 
 def tape_nodes(root: Tensor) -> list:
-    """Every tensor reachable from ``root`` through parent links, leaves included."""
+    """``root`` and every tape node reachable from it through parent links,
+    leaves (which are their own nodes) included."""
     seen, todo = {id(root): root}, [root]
     while todo:
         for parent in todo.pop()._parents:
@@ -109,22 +111,63 @@ def closure_arrays(fn) -> list:
     return found
 
 
-def tape_bytes(loss: Tensor) -> int:
-    """Bytes of the unique ndarrays reachable from ``loss`` through node values
-    and gradient-function closures; a view counts as the array that owns its data."""
-    owners = {}
-    for node in tape_nodes(loss):
-        arrays = [node.values] + (closure_arrays(node._grad_fn) if node._grad_fn else [])
-        for arr in arrays:
-            while isinstance(arr.base, np.ndarray):
-                arr = arr.base
-            owners[id(arr)] = arr.nbytes
-    return sum(owners.values())
+@dataclass
+class TapeInventory:
+    """What one recorded tape holds, in bytes of unique arrays (a view counts as
+    the array that owns its data)."""
+
+    nodes: int  # tape nodes reachable from the loss, leaves and the loss included
+    saved: int  # arrays the gradient functions keep
+    unsaved: int  # op outputs on the tape, still alive, that no gradient function keeps
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def tape_inventory(build_loss) -> TapeInventory:
+    """The inventory of the tape of ``build_loss()``, a scalar op result.
+
+    While ``build_loss`` runs, each recorded op result's node is noted with a
+    weak reference to its array; whatever ``build_loss`` still holds when it
+    returns counts as alive.  The loss's own value is not counted.
+    """
+    outputs = {}  # id(node) -> (node, weak reference to the op result's array)
+    init = Tensor.__init__
+
+    def noting_init(self, values, _parents=(), _grad_fn=None):
+        init(self, values, _parents, _grad_fn)
+        if self._node is not None and self._node is not ad._NO_TAPE:
+            outputs[id(self._node)] = (self._node, weakref.ref(self.values))
+
+    Tensor.__init__ = noting_init
+    try:
+        loss = build_loss()
+    finally:
+        Tensor.__init__ = init
+    nodes = tape_nodes(loss)
+    saved, unsaved = {}, {}
+    for node in nodes:
+        for arr in closure_arrays(node._grad_fn) if node._grad_fn else []:
+            saved[id(_owner(arr))] = _owner(arr).nbytes
+    for node in nodes:
+        arr = outputs[id(node)][1]() if id(node) in outputs else None
+        if arr is not None and id(_owner(arr)) not in saved:
+            unsaved[id(_owner(arr))] = _owner(arr).nbytes
+    return TapeInventory(len(nodes), sum(saved.values()), sum(unsaved.values()))
 
 
 def ref_softmax_rows(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_select_queries(scores: np.ndarray, n: int) -> np.ndarray:
+    """The first n indices of a stable sort by descending score, ascending."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return np.sort(order[..., :n], axis=-1)
 
 
 def ref_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import (
     build_sparse_adjacency,
     dense_adjacency,
     finite_diff_max_err,
+    ref_select_queries,
     ref_softmax_rows,
     ref_sparse_adjacency_batch,
     select_keys,
@@ -123,6 +127,27 @@ class TestSelection:
 
     def test_n_equals_total(self):
         np.testing.assert_array_equal(select_queries(np.arange(4.0), 4), [0, 1, 2, 3])
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_stable_sort(self, data):
+        """Ties (0.0 and -0.0 among them), infinities and NaN, in 1-D to 3-D scores."""
+        shape = (*data.draw(st.lists(st.integers(0, 3), max_size=2)), data.draw(st.integers(1, 9)))
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        scores = data.draw(arrays(np.float64, shape, elements=special | st.floats(-2.0, 2.0)))
+        n = data.draw(st.integers(0, shape[-1]))
+        got, want = select_queries(scores, n), ref_select_queries(scores, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_equals_the_stable_sort_at_train_wide_logits(self):
+        logits = np.random.default_rng(4).normal(size=(8, 11, 321))
+        rounded = np.round(logits, 1)  # ties at the cut in most rows
+        assert (np.sum(rounded >= np.sort(rounded)[..., -11:-10], axis=-1) > 11).mean() > 0.5
+        for scores in (logits, rounded):
+            got = select_queries(scores, 11)
+            np.testing.assert_array_equal(got, ref_select_queries(scores, 11))
+            assert (got.base if got.base is not None else got).nbytes == got.nbytes  # no wider buffer
 
     def test_select_keys_all_when_n_equals_total(self):
         rng = np.random.default_rng(5)

@@ -8,10 +8,14 @@ it claims 2 usable CPUs so the path runs on any host.
 """
 
 import multiprocessing
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,28 @@ class TestBoth:
 
         with pytest.raises(ValueError, match="first"):
             ad.both(fail_first, fail, True)
+
+    def test_a_worker_job_that_never_returns_does_not_hold_the_exit(self):
+        script = textwrap.dedent("""
+            import threading
+            from hgmts import autodiff as ad
+            ad._usable_cpus = lambda: 2
+            started = threading.Event()
+
+            def stuck():
+                started.set()
+                threading.Event().wait()
+
+            threading.Thread(target=ad.both, args=(stuck, lambda: None, True), daemon=True).start()
+            assert started.wait(30)
+            print("exiting")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "exiting\n"), done.stderr
 
 
 class TestThreadedBackward:

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import ref_scores, tape_bytes, tape_nodes
+from helpers import ref_scores, tape_inventory
+from hgmts import autodiff as ad
 from hgmts import training
 from hgmts.autodiff import ContractError, NumericError, ShapeMismatch, _no_tape
 from hgmts.data import SplitSpec
@@ -128,6 +129,15 @@ class TestScores:
             training.scores(windows, preds + preds[:1])
         with pytest.raises(ContractError, match="at least one window"):
             training.scores([], [])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_size_below_one_is_refused_by_name(self, batch_size):
+        model, prepared = small_setup()
+        windows = prepared.test[:5]
+        with pytest.raises(ContractError, match=f"batch_size must be >= 1, got {batch_size}"):
+            next(training.forecasts(model, windows, batch_size))
+        with pytest.raises(ContractError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(model, windows, batch_size=batch_size)
 
 
 class TestTrainLoop:
@@ -323,20 +333,68 @@ class TestTapeLifetime:
         train(model, prepared.train[:24], [], TrainConfig(max_epochs=2, batch_size=8, seed=0))
         assert alive_at_adam == [0] * 6
 
+    def test_step_outputs_are_dead_when_backward_starts(self, monkeypatch):
+        """No backward reads the forecast or the residual array, so the step lets
+        both go before its backward pass, and the tape does not hold them."""
+        model, prepared = small_setup()
+        forward_batch, backward = Model.forward_batch, ad.backward
+        outputs, alive_at_backward = [], []
+
+        def forward_spy(self, *args, **kwargs):
+            out = forward_batch(self, *args, **kwargs)
+            outputs[:] = [weakref.ref(out[0].values), weakref.ref(out[1].values)]
+            return out
+
+        def backward_spy(loss, parallel=False):
+            alive_at_backward.append(sum(ref() is not None for ref in outputs))
+            backward(loss, parallel)
+
+        monkeypatch.setattr(Model, "forward_batch", forward_spy)
+        monkeypatch.setattr(ad, "backward", backward_spy)
+        train(model, prepared.train[:24], [], TrainConfig(max_epochs=1, batch_size=8, seed=0))
+        assert alive_at_backward == [0] * 3
+
 
 class TestTapeSize:
     """What one training step's tape holds, at small_setup's shape (1 stack, 1 round).
     Each MLP2 and each round is one node; a change to these figures is deliberate."""
 
-    @pytest.mark.parametrize("variant, nodes, nbytes", [("hgmts1", 96, 70_680),
-                                                        ("hgmts4", 28, 24_456)])
-    def test_training_step_tape_is_pinned(self, variant, nodes, nbytes):
+    @staticmethod
+    def step_inventory(variant):
         model, prepared = small_setup(variant=variant)
         batch = prepared.train[:8]
-        forecast = model.forward_batch(np.stack([x for x, _ in batch]), step=0)[0]
-        loss = mse_loss(forecast, np.concatenate([y for _, y in batch]))
-        assert len(tape_nodes(loss)) == nodes
-        assert tape_bytes(loss) == nbytes
+
+        def build_loss():  # the loss alone survives, as in training's step
+            forecast = model.forward_batch(np.stack([x for x, _ in batch]), step=0)[0]
+            return mse_loss(forecast, np.concatenate([y for _, y in batch]))
+
+        return tape_inventory(build_loss)
+
+    @pytest.mark.parametrize("variant, nodes, nbytes", [("hgmts1", 96, 49_280),
+                                                        ("hgmts4", 28, 16_000)])
+    def test_training_step_tape_is_pinned(self, variant, nodes, nbytes):
+        inventory = self.step_inventory(variant)
+        assert (inventory.nodes, inventory.saved) == (nodes, nbytes)
+
+    @pytest.mark.parametrize("variant", ["hgmts1", "hgmts4"])
+    def test_no_op_output_outlives_the_forward_pass_unsaved(self, variant):
+        assert self.step_inventory(variant).unsaved == 0
+
+    def test_an_inference_pass_creates_no_node(self, monkeypatch):
+        model, prepared = small_setup()
+        created = []
+        init = ad._Node.__init__
+
+        def counting_init(self, *args):
+            created.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ad._Node, "__init__", counting_init)
+        xs = np.stack([x for x, _ in prepared.test[:8]])
+        model.forward_batch(xs, collect=True)
+        assert created == []
+        model.forward_batch(xs, step=0)
+        assert created  # the count sees a recorded pass's nodes
 
     def test_tape_grows_with_n_by_graph_arrays_only(self):
         """From n = N/4 to n = N, one hgmts1 step's tape grows by at most 16
@@ -350,8 +408,10 @@ class TestTapeSize:
         for gamma in (0.25, 1.0):
             cfg = ModelConfig(n_nodes=n_nodes, input_len=12, horizon=4, embed_dim=4, hidden_dim=8,
                               kernel=5, stacks=1, rounds=2, gamma=gamma)
-            forecast = build_variant(cfg).forward_batch(windows, step=0)[0]
-            nbytes.append(tape_bytes(mse_loss(forecast, targets)))
+            model = build_variant(cfg)
+            inventory = tape_inventory(
+                lambda: mse_loss(model.forward_batch(windows, step=0)[0], targets))
+            nbytes.append(inventory.saved + inventory.unsaved)
         assert nbytes[1] - nbytes[0] <= 16 * batch * n_nodes**2 * 8
 
 

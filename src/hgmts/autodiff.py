@@ -13,7 +13,8 @@ pass, so ordinary Python control flow in model code needs no special
 handling.  Inside ``with recording(False)`` an operation computes the same
 values and every result shares one node with no parents, whose gradient
 function is a refusal, so the closure and the arrays it saved die with the
-operation; recording is a per-thread setting and is on by default.
+operation.  The recording switch is a context variable, so each thread starts
+recording and a ``with recording(...)`` block reaches only its own context.
 
 Shapes never broadcast: ``add``, ``sub`` and ``mul`` take two tensors of one
 shape or a tensor and a scalar on the right; anything else raises
@@ -21,9 +22,10 @@ shape or a tensor and a scalar on the right; anything else raises
 distinct along the gathered axis, so its backward is a plain write.
 
 Tensors are value-like and never mutate their inputs.  :func:`both` runs two
-independent calls on two threads under the caller's recording switch; the
-tape they build is one tape.  A backward pass may drain that tape on the same
-two threads, and sums every gradient in the one-thread order.
+independent calls on two threads, the worker's in a copy of the caller's
+context and so under its recording switch; the tape they build is one tape.  A backward pass may
+drain that tape on the same two threads: each node waits until every
+gradient into it has arrived, then sums them in the one-thread order.
 Everything is float64: at desk scale, gradient checking and bitwise
 reproducibility matter more than speed.
 """
@@ -52,25 +54,22 @@ class ContractError(ValueError):
     """An operation precondition was violated."""
 
 
-class _Recording(threading.local):
-    on = True  # each thread starts recording
-
-
-_recording = _Recording()
+_recording = contextvars.ContextVar("recording", default=True)  # each thread starts recording
 
 
 class recording:
-    """Record a tape (``on``) or not, on this thread only, inside the ``with`` block."""
+    """Record a tape (``on``) or not inside the ``with`` block.
+
+    The switch is per context, and each thread starts recording."""
 
     def __init__(self, on: bool):
         self.on = on
 
     def __enter__(self):
-        self.before = _recording.on
-        _recording.on = self.on
+        self.token = _recording.set(self.on)
 
     def __exit__(self, *exc):
-        _recording.on = self.before
+        _recording.reset(self.token)
 
 
 # Callers ask ``both`` for two threads when their (rows, embed_dim) state arrays
@@ -84,7 +83,7 @@ PARALLEL_MIN_SIZE = 3 * 2**12
 
 _jobs: tuple = (None, None)  # (pid, the worker's job queue); a forked child starts its own
 _jobs_lock = threading.Lock()
-_inside = threading.local()  # on for the worker, and for a caller while it runs ``second``
+_inside = contextvars.ContextVar("inside_both", default=False)  # set while a ``both`` runs
 
 
 def _usable_cpus() -> int:
@@ -93,7 +92,6 @@ def _usable_cpus() -> int:
 
 def _serve(jobs: queue.SimpleQueue) -> None:
     """Run each ``(call, reply)`` job and put ``(result, error)`` on its reply queue."""
-    _inside.on = True
     while True:
         call, reply = jobs.get()
         try:
@@ -117,17 +115,13 @@ def _worker() -> queue.SimpleQueue:
         return _jobs[1]
 
 
-def _run_recording(on: bool, fn):
-    with recording(on):
-        return fn()
-
-
 def both(first, second, parallel: bool) -> tuple:
     """``(first(), second())``: with ``parallel``, ``first`` runs on one persistent
     worker thread while ``second`` runs on this one.
 
-    The worker runs under this thread's recording switch and in a copy of its
-    context variables (numpy's ``errstate`` among them).  This thread waits for
+    The worker runs ``first`` in a copy of this thread's context variables:
+    the recording switch, numpy's ``errstate`` and the flag that marks a call
+    inside a ``both``, set before the copy is taken.  This thread waits for
     the worker's result before it returns or raises; when both calls raise,
     ``first``'s error wins, as it would run first in order.  The two run
     inline, ``first`` first, without ``parallel``, on a process allowed fewer
@@ -136,16 +130,15 @@ def both(first, second, parallel: bool) -> tuple:
     may be waiting on it).  Neither call may write, without a lock, anything
     the other reads.
     """
-    if not parallel or getattr(_inside, "on", False) or _usable_cpus() < 2:
+    if not parallel or _inside.get() or _usable_cpus() < 2:
         return first(), second()
-    reply = queue.SimpleQueue()
-    _worker().put((functools.partial(contextvars.copy_context().run, _run_recording,
-                                     _recording.on, first), reply))
-    _inside.on = True
+    jobs, reply = _worker(), queue.SimpleQueue()
+    inside = _inside.set(True)  # in the worker's copy and in ``second``, nested calls run inline
+    jobs.put((functools.partial(contextvars.copy_context().run, first), reply))
     try:
         second_out = second()
     finally:
-        _inside.on = False
+        _inside.reset(inside)
         first_out, error = reply.get()
         if error is not None:
             raise error
@@ -199,7 +192,7 @@ class Tensor:
         self.grad = None
         if not _parents:
             self._node = None  # a leaf is its own node
-        elif _recording.on:
+        elif _recording.get():
             self._node = _Node(tuple([p._node or p for p in _parents]), _grad_fn)
         else:
             self._node = _NO_TAPE
@@ -225,59 +218,63 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _topo_order(root: _Node) -> list:
-    """Tape nodes, parents before children, iterative to survive deep graphs."""
-    order: list = []
-    seen: set[int] = set()
-    stack: list[tuple] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
+def _summed(slots: list):
+    """A node's incoming gradients added left to right in reverse slot order,
+    skipping None; None when every slot is None."""
+    total = None
+    for g in reversed(slots):
+        if g is not None:
+            total = g if total is None else total + g
+    return total
 
 
 class _Walk:
     """One backward pass over a tape, drained by one thread or two.
 
-    A node runs once every consumer on the tape has pushed its gradient into
-    it.  Each (consumer, parent) edge has a slot in its parent's sum, in the
-    order of a one-thread walk in reverse topological order: consumers by
-    descending position, then by parent-tuple index.  A gradient that arrives
-    early waits until the earlier slots are filled, so every sum adds the same
-    arrays in the same order however the nodes interleave.  A leaf takes its
-    gradient once its last slot is filled.  Drains take the ready op node of
-    highest position first; one drain alone therefore runs the op nodes in
-    reverse topological order, and no gradient arrives early.
+    One iterative depth-first search, to survive deep graphs, gives each node
+    its topological position, parents before children.  Placing a node appends
+    one slot to each parent's slot list, its parents taken in reversed tuple
+    order, so a list read backwards holds the order of a one-thread walk in
+    reverse topological order: consumers by descending position, then by
+    parent-tuple index.  A pushed gradient fills its slot; once a node's slots
+    are all filled, :func:`_summed` adds them in that order, so every sum adds
+    the same arrays in the same order however the drains interleave.  A leaf
+    takes that sum at once; an op node goes onto the ready heap and is summed
+    by the drain that runs it, outside the lock.  Drains take the ready op node
+    of highest position first, so one drain alone runs the op nodes in reverse
+    topological order.
     """
 
     def __init__(self, loss: Tensor):
-        self.order = order = _topo_order(loss._node)
-        position = {id(node): i for i, node in enumerate(order)}
-        self.total = total = [0] * len(order)  # per node, the edges into it
-        self.edges: list = [()] * len(order)  # per node, (parent position, slot) per parent
-        for i in range(len(order) - 1, -1, -1):
-            edges = []
-            for parent in order[i]._parents:
-                k = position[id(parent)]
-                edges.append((k, total[k]))
-                total[k] += 1
-            self.edges[i] = edges
-        self.slots = [0] * len(order)  # per node, its next slot to add
-        self.sums: list = [None] * len(order)  # per node, the sum of its added slots
-        self.sums[-1] = np.ones_like(loss.values)  # the root comes last
-        self.early: dict = {}  # (position, slot) -> a gradient that waits for earlier slots
+        self.order = order = []  # nodes by position
+        self.slots = slots = []  # per node, one slot per edge into it
+        self.edges = edges = []  # per node, (parent position, slot) per parent, last parent first
+        at: dict = {}  # id(node) -> its position, None while the search is below it
+        stack: list[tuple] = [(loss._node, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                at[id(node)] = len(order)
+                order.append(node)
+                slots.append([])
+                mine = []
+                for parent in reversed(node._parents):
+                    k = at[id(parent)]
+                    mine.append((k, len(slots[k])))
+                    slots[k].append(None)
+                edges.append(mine)
+                continue
+            if id(node) in at:
+                continue
+            at[id(node)] = None
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in at:
+                    stack.append((parent, False))
+        self.missing = [len(node_slots) for node_slots in slots]  # per node, its empty slots
+        slots[-1].append(np.ones_like(loss.values))  # the root comes last and has no consumer
         self.ready = [1 - len(order)]  # a heap of negated positions
         self.left = len(order)
-        self.waiting = 0  # drains waiting for a ready node
         self.error: BaseException | None = None
         self.lock = threading.Lock()
         self.wake = threading.Condition(self.lock)
@@ -285,33 +282,25 @@ class _Walk:
     def _push(self, i: int, grads) -> None:
         """Put node i's parent gradients (None: no gradient) into their slots;
         a leaf whose slots are all filled takes its gradient here."""
-        total, slots, sums, early = self.total, self.slots, self.sums, self.early
-        for (k, slot), pg in zip(self.edges[i], grads):
-            if slot != slots[k]:
-                early[k, slot] = pg
+        slots, missing = self.slots, self.missing
+        for (k, slot), pg in zip(self.edges[i], reversed(grads), strict=True):
+            slots[k][slot] = pg
+            missing[k] -= 1
+            if missing[k]:
                 continue
-            while True:
-                if pg is not None:
-                    sums[k] = pg if sums[k] is None else sums[k] + pg
-                slot += 1
-                if slot == total[k] or not early or (k, slot) not in early:
-                    break
-                pg = early.pop((k, slot))
-            slots[k] = slot
-            if slot == total[k]:
-                node = self.order[k]
-                if node._grad_fn is not None:
-                    heapq.heappush(self.ready, -k)
-                    continue
-                g, sums[k] = sums[k], None
-                if g is not None:
-                    node.grad = g if node.grad is None else node.grad + g
-                self.left -= 1
+            node = self.order[k]
+            if node._grad_fn is not None:
+                heapq.heappush(self.ready, -k)
+                continue
+            g, slots[k] = _summed(slots[k]), None
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            self.left -= 1
 
     def drain(self) -> None:
-        """Run ready nodes until the walk ends or a node raises; a node's
-        gradient function runs outside the lock."""
-        lock, ready, sums, order, push = self.lock, self.ready, self.sums, self.order, self._push
+        """Run ready nodes until the walk ends or a node raises; a node's sum
+        and gradient function run outside the lock."""
+        lock, ready, slots, order, push = self.lock, self.ready, self.slots, self.order, self._push
         done = None  # (position, parent gradients) of the node this drain last ran
         try:
             while True:
@@ -320,16 +309,16 @@ class _Walk:
                         push(*done)
                         done = None
                         self.left -= 1
-                        if self.waiting and (len(ready) > 1 or not self.left):
+                        if len(ready) > 1 or not self.left:
                             self.wake.notify()
                     while not ready and self.left and self.error is None:
-                        self.waiting += 1
                         self.wake.wait()
-                        self.waiting -= 1
                     if not ready or self.error is not None:
                         return
                     i = -heapq.heappop(ready)
-                    g, sums[i] = sums[i], None
+                    incoming, slots[i] = slots[i], None
+                g = _summed(incoming)
+                del incoming  # the summed gradients may die before the gradient function runs
                 node = order[i]
                 done = (i, (None,) * len(node._parents) if g is None else node._grad_fn(g))
                 del g  # a drain that waits holds no gradient
@@ -352,8 +341,9 @@ def backward(loss: Tensor, parallel: bool = False) -> None:
 
     With ``parallel``, the caller and :func:`both`'s worker drain the tape
     together, each running a node whose consumers have all run; without it,
-    the caller drains alone.  Every sum keeps the one-thread order (see
-    :class:`_Walk`), so each ``.grad`` is bitwise the same either way.  When a
+    the caller drains alone.  A node sums its incoming gradients once the last
+    one has arrived, always in the one-thread order (see :class:`_Walk`), so
+    each ``.grad`` is bitwise the same either way.  When a
     gradient function raises on either thread, both drains stop and the caller
     gets that exception.
 

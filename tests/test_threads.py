@@ -308,6 +308,55 @@ class TestThreadedBackward:
         assert raised.value is grad_spy.error
         assert in_thread(lambda: step_grads("hgmts1", parallel=True)) == serial
 
+    def test_sums_in_the_documented_order(self, threaded, grad_spy, short_switch_interval):
+        """Each node adds its incoming gradients left to right, consumers by
+        descending topological position, then by parent-tuple index, with values
+        whose float sum depends on that order; serial and in any interleaving."""
+        big = 2.0**53  # big + 1.0 rounds back to big
+
+        def leaf_grads(parallel):
+            x, w = Tensor(np.ones(1)), Tensor(np.ones(1))
+            t = ad.mul(x, w)  # an op node with three consumers
+            u1, u2, u3 = ad.mul(t, 1.0), ad.mul(t, big), ad.mul(t, -big)
+            sq, v = ad.mul(x, x), ad.mul(x, big)  # x: four slots, two from one consumer
+            loss = ad.add(ad.add(ad.add(u1, u2), u3), ad.add(sq, v))
+            ad.backward(loss, parallel=parallel)
+            return x.grad.tobytes(), w.grad.tobytes()
+
+        # positions: x 0, v 1, sq 2, sq + v 3, w 4, t 5, u3 6, u2 7, u1 8, ...
+        g = np.ones(1)
+        t_sum = g * 1.0 + g * big + g * -big  # u1, u2, u3
+        x_sum = t_sum * 1.0 + g * 1.0 + g * 1.0 + g * big  # t, sq's first and second parent, v
+        assert (t_sum[0], x_sum[0]) == (0.0, big + 2)
+        assert (g * -big + g * big + g * 1.0)[0] == 1.0  # the reversed fold differs
+        want = (x_sum.tobytes(), (t_sum * 1.0).tobytes())
+        assert leaf_grads(parallel=False) == want
+        grad_spy.rng = random.Random(3)
+        for _ in range(20):
+            assert in_thread(lambda: leaf_grads(parallel=True)) == want
+        assert "worker" in grad_spy.threads
+
+    def test_a_deep_tape_walks_without_recursion(self, threaded):
+        depth, factor = 20_000, 1.0 + 2.0**-20
+        want = 1.0
+        for _ in range(depth):
+            want *= factor  # each op multiplies the gradient once, from the loss down
+        for parallel in (False, True):
+            x = Tensor(np.ones(1))
+            y = x
+            for _ in range(depth):
+                y = ad.mul(y, factor)
+            in_thread(lambda: ad.backward(y, parallel=parallel))
+            assert x.grad.tobytes() == np.array([want]).tobytes()
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_a_gradient_function_must_return_one_gradient_per_parent(self, parallel, threaded):
+        # a parent left without its gradient would keep the walk waiting for it
+        x, y = Tensor(1.0), Tensor(2.0)
+        short = Tensor(3.0, (x, y), lambda g: (g,))
+        with pytest.raises(ValueError, match="zip"):
+            in_thread(lambda: ad.backward(short, parallel=parallel), timeout=10)
+
     def test_a_tapeless_result_is_refused(self, threaded):
         w = Tensor(np.ones((3, 2)))
         with ad.recording(False):

@@ -22,9 +22,10 @@ shape or a tensor and a scalar on the right; anything else raises
 distinct along the gathered axis, so its backward is a plain write.
 
 Tensors are value-like and never mutate their inputs.  :func:`both` runs two
-independent calls on two threads, the worker's in a copy of the caller's
-context and so under its recording switch; the tape they build is one tape.  A backward pass may
-drain that tape on the same two threads: each node waits until every
+independent calls on two threads: the caller's, and a worker it starts for the
+one call, which runs in a copy of the caller's context and so under its
+recording switch; the tape they build is one tape.  A backward pass may drain
+that tape on two threads through :func:`both`: each node waits until every
 gradient into it has arrived, then sums them in the one-thread order.
 Everything is float64: at desk scale, gradient checking and bitwise
 reproducibility matter more than speed.
@@ -36,7 +37,6 @@ import contextvars
 import functools
 import heapq
 import os
-import queue
 import threading
 
 import numpy as np
@@ -81,68 +81,44 @@ class recording:
 # at 8,192, 1.02 at 10,240, 0.93 at 12,288 and 0.82 at 16,384.
 PARALLEL_MIN_SIZE = 3 * 2**12
 
-_jobs: tuple = (None, None)  # (pid, the worker's job queue); a forked child starts its own
-_jobs_lock = threading.Lock()
-_inside = contextvars.ContextVar("inside_both", default=False)  # set while a ``both`` runs
-
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _serve(jobs: queue.SimpleQueue) -> None:
-    """Run each ``(call, reply)`` job and put ``(result, error)`` on its reply queue."""
-    while True:
-        call, reply = jobs.get()
-        try:
-            reply.put((call(), None))
-        except BaseException as exc:  # raised again on the caller's thread
-            reply.put((None, exc))
-        del call, reply  # a waiting worker holds nothing of the last job
-
-
-def _worker() -> queue.SimpleQueue:
-    """The job queue of this process's one worker thread, started on first use.
-
-    The thread is a daemon, so a job that never returns cannot keep the
-    interpreter from exiting."""
-    global _jobs
-    with _jobs_lock:
-        if _jobs[0] != os.getpid():  # none yet, or inherited through fork: its thread is gone
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="hgmts-worker", daemon=True).start()
-            _jobs = (os.getpid(), jobs)
-        return _jobs[1]
-
-
 def both(first, second, parallel: bool) -> tuple:
-    """``(first(), second())``: with ``parallel``, ``first`` runs on one persistent
-    worker thread while ``second`` runs on this one.
+    """``(first(), second())``: with ``parallel``, ``first`` runs on a worker
+    thread that this call starts, while ``second`` runs on this one.
 
-    The worker runs ``first`` in a copy of this thread's context variables:
-    the recording switch, numpy's ``errstate`` and the flag that marks a call
-    inside a ``both``, set before the copy is taken.  This thread waits for
-    the worker's result before it returns or raises; when both calls raise,
-    ``first``'s error wins, as it would run first in order.  The two run
-    inline, ``first`` first, without ``parallel``, on a process allowed fewer
-    than 2 CPUs, or when called inside a ``both``: from the worker, or from
-    this thread's ``second`` (either would queue behind the busy worker, which
-    may be waiting on it).  Neither call may write, without a lock, anything
-    the other reads.
+    The worker runs ``first`` in a copy of this thread's context variables: the
+    recording switch and numpy's ``errstate``.  This thread joins the worker
+    before it returns or raises, so no worker outlives the call; when both
+    calls raise, ``first``'s error wins, as it would run first in order.  The
+    worker is a daemon, so a ``first`` that never returns cannot keep the
+    interpreter from exiting.  A call from inside either call starts its own
+    worker.  The two run inline, ``first`` first, without ``parallel`` or on a
+    process allowed fewer than 2 CPUs.  Neither call may write, without a
+    lock, anything the other reads.
     """
-    if not parallel or _inside.get() or _usable_cpus() < 2:
+    if not parallel or _usable_cpus() < 2:
         return first(), second()
-    jobs, reply = _worker(), queue.SimpleQueue()
-    inside = _inside.set(True)  # in the worker's copy and in ``second``, nested calls run inline
-    jobs.put((functools.partial(contextvars.copy_context().run, first), reply))
+    context, out = contextvars.copy_context(), {}
+
+    def run_first():
+        try:
+            out["result"] = context.run(first)
+        except BaseException as exc:  # raised again on this thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=run_first, name="hgmts-worker", daemon=True)
+    worker.start()
     try:
         second_out = second()
     finally:
-        _inside.reset(inside)
-        first_out, error = reply.get()
-        if error is not None:
-            raise error
-    return first_out, second_out
+        worker.join()
+        if "error" in out:
+            raise out["error"]
+    return out["result"], second_out
 
 
 def _no_tape(g):
@@ -339,13 +315,13 @@ def backward(loss: Tensor, parallel: bool = False) -> None:
     d(loss)/d(leaf) per leaf).  Gradient buffers are accumulated by
     reassignment and may share storage, so treat ``.grad`` as read-only.
 
-    With ``parallel``, the caller and :func:`both`'s worker drain the tape
-    together, each running a node whose consumers have all run; without it,
-    the caller drains alone.  A node sums its incoming gradients once the last
-    one has arrived, always in the one-thread order (see :class:`_Walk`), so
-    each ``.grad`` is bitwise the same either way.  When a
-    gradient function raises on either thread, both drains stop and the caller
-    gets that exception.
+    With ``parallel``, the caller and the worker thread that :func:`both`
+    starts drain the tape together, each running a node whose consumers have
+    all run; without it, the caller drains alone.  A node sums its incoming
+    gradients once the last one has arrived, always in the one-thread order
+    (see :class:`_Walk`), so each ``.grad`` is bitwise the same either way.
+    When a gradient function raises on either thread, both drains stop and
+    the caller gets that exception.
 
     The walk reads tape nodes only: every gradient function holds the arrays
     it reads, and a leaf, being its own node, takes its ``.grad`` from the

@@ -89,8 +89,10 @@ class ModelConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractError(f"{name} must be >= 1, got {value}")
-        if self.rounds < 0:
-            raise ContractError(f"rounds must be >= 0, got {self.rounds}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ContractError(f"{name} must be >= 0, got {value}")
         if self.gamma is not None and not 0 < self.gamma <= 1:
             raise ContractError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.sampling_c is not None and not (math.isfinite(self.sampling_c)

@@ -43,7 +43,8 @@ def generate_coupled(
     visible only through the graph.
     """
     for arg, value, least in (("n_series", n_series, 1), ("length", length, 1),
-                              ("coupling_lag", coupling_lag, 1), ("noise_std", noise_std, 0)):
+                              ("coupling_lag", coupling_lag, 1), ("noise_std", noise_std, 0),
+                              ("seed", seed, 0)):
         if value < least:
             raise ContractError(f"generate_coupled: {arg} must be >= {least}, got {value}")
     rng = np.random.default_rng(seed)

@@ -39,6 +39,8 @@ class TrainConfig:
         for name in ("halve_every", "patience", "batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         # lr0 = 0 freezes the model, useful for schedule diagnostics
         for name in ("lr0", "backcast_loss_weight"):
             value = getattr(self, name)

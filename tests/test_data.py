@@ -216,7 +216,8 @@ class TestManifest:
 
 class TestSyntheticGenerator:
     @pytest.mark.parametrize("arg, value", [("n_series", 0), ("length", 0),
-                                            ("coupling_lag", 0), ("noise_std", -0.1)])
+                                            ("coupling_lag", 0), ("noise_std", -0.1),
+                                            ("seed", -1)])
     def test_impossible_sizes_rejected(self, arg, value):
         with pytest.raises(ContractError, match=arg):
             generate_coupled(**{arg: value})

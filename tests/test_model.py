@@ -237,7 +237,7 @@ class TestVariants:
         ("n_nodes", 0), ("input_len", 0), ("horizon", 0), ("embed_dim", 0), ("hidden_dim", 0),
         ("rounds", -1), ("gamma", -1.0), ("gamma", 0.0), ("gamma", 3.0), ("gamma", float("nan")),
         ("sampling_c", -2.0), ("sampling_c", 0.0), ("sampling_c", float("nan")),
-        ("sampling_c", float("inf")),
+        ("sampling_c", float("inf")), ("seed", -1),
     ])
     def test_bad_model_values_rejected_at_construction(self, field, value):
         # hgmts4 builds no graph, so rounds and the selection size are never read there

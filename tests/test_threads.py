@@ -176,35 +176,51 @@ class TestBoth:
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
         assert ad.both(where, where, True) == ("caller", "caller")
 
-    def test_a_call_from_the_worker_runs_inline(self, threaded):
-        out = {}
-
+    def test_a_call_from_the_worker_starts_its_own_worker(self, threaded):
         def nested():
-            return ad.both(where, where, True)
+            first, second = ad.both(threading.get_ident, threading.get_ident, True)
+            return ad.both(where, where, True), first != second
 
-        caller = threading.Thread(target=lambda: out.update(both=ad.both(nested, where, True)),
-                                  daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert out["both"] == (("worker", "worker"), "caller")
+        assert in_thread(lambda: ad.both(nested, where, True)) == (
+            (("worker", "worker"), True), "caller")
 
-    def test_a_call_from_second_runs_inline(self, threaded):
-        # first waits on second's nested call: queued behind the busy worker, that
-        # call would wait on first until the event times out
+    def test_a_call_from_second_starts_its_own_worker(self, threaded):
+        # first waits on second's nested call: had that call to wait for first's
+        # thread, the two would wait on each other until the event times out
         release = threading.Event()
+        idents = {}
 
         def first():
+            idents["first"] = threading.get_ident()
             release.wait(timeout=30)
             return where()
 
+        def nested_first():
+            idents["nested"] = threading.get_ident()
+            return where()
+
         def second():
-            nested = ad.both(where, where, True)
+            nested = ad.both(nested_first, where, True)
             release.set()
             return nested
 
         assert in_thread(lambda: ad.both(first, second, True), timeout=10) == (
-            "worker", ("caller", "caller"))
+            "worker", ("worker", "caller"))
+        assert release.is_set() and idents["nested"] != idents["first"]
+
+    def test_no_worker_outlives_the_call(self, threaded):
+        def workers():
+            return [t for t in threading.enumerate() if t.name.startswith("hgmts-worker")]
+
+        assert ad.both(where, where, True) == ("worker", "caller")
+        assert workers() == []
+
+        def fail():
+            raise KeyError("first")
+
+        with pytest.raises(KeyError, match="first"):
+            ad.both(fail, where, True)
+        assert workers() == []
 
     def test_worker_runs_under_the_recording_switch_and_errstate(self, threaded):
         x = Tensor(np.ones(3))
@@ -280,8 +296,8 @@ class TestThreadedBackward:
 
     def test_two_callers_run_threaded_backward_passes_at_once(self, threaded,
                                                               short_switch_interval):
-        # each caller's second drain queues behind the other's on the one worker, so
-        # it often starts after its walk has ended and must return at once
+        # a worker's drain may start after its caller has drained the whole walk, and
+        # must then return at once
         serial = [step_grads("hgmts1", parallel=False, seed=k) for k in (0, 1)]
         start = threading.Barrier(2)
         results: dict = {}
@@ -420,7 +436,7 @@ class TestThreadedModel:
         result = train(build_variant(cfg), windows(4), [], TrainConfig(max_epochs=1, batch_size=4))
         assert np.isfinite(result.best_val_mse)
 
-    def test_concurrent_callers_share_the_worker(self, threaded):
+    def test_concurrent_callers_each_start_a_worker(self, threaded):
         model = build_variant(ModelConfig(**SMALL))
         batches = [np.stack([x for x, _ in windows(k, seed=k)]) for k in (1, 2, 3)]
         expected = [model.forward_batch(xs)[0].values for xs in batches]
@@ -449,7 +465,7 @@ class TestThreadedModel:
     def test_forked_child_runs_a_threaded_forward(self, threaded, encoder_threads):
         model = build_variant(ModelConfig(**SMALL))
         xs = np.stack([x for x, _ in windows(2)])
-        expected = model.forward_batch(xs)[0].values  # the worker now runs in this process
+        expected = model.forward_batch(xs)[0].values  # workers have run in this process
         assert "worker" in encoder_threads
         receive, send = multiprocessing.Pipe(duplex=False)
 

@@ -217,7 +217,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field, value", [
         ("lr0", float("nan")), ("lr0", -1e-4), ("lr0", float("inf")),
-        ("backcast_loss_weight", -1.0), ("backcast_loss_weight", float("nan")),
+        ("backcast_loss_weight", -1.0), ("backcast_loss_weight", float("nan")), ("seed", -1),
     ])
     def test_bad_train_values_rejected_at_construction(self, field, value):
         with pytest.raises(ContractError, match=field):

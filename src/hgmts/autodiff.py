@@ -391,20 +391,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), grad_fn)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b in one node; b is a length-d_out row vector."""
-    xv, wv = x.values, w.values
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise ShapeMismatch(f"affine: incompatible shapes {xv.shape} and {wv.shape}")
-    out = xv @ wv
-    out += b.values
-
-    def grad_fn(g):
-        return (g @ wv.T, xv.T @ g, g.sum(axis=0))
-
-    return Tensor(out, (x, w, b), grad_fn)
-
-
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes of a 2-D or 3-D tensor."""
     if a.values.ndim not in (2, 3):
@@ -420,11 +406,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-
-def relu(a: Tensor) -> Tensor:
-    av = a.values
-    return Tensor(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0),))
 
 
 def sigmoid_values(v: np.ndarray) -> np.ndarray:

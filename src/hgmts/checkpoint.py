@@ -63,7 +63,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
         raise ContractError(f"checkpoint config hash mismatch in {path}")
     values: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in manifest["params"]:
+    for entry in manifest["params"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])):
+            raise ContractError(f"checkpoint {path} has params entry {entry!r}; expected a name "
+                                "and a list of non-negative ints")
+        name, shape = entry
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         chunk = payload[offset : offset + nbytes]

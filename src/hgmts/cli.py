@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import ContractError
 from .config import RunSpec, load_run_spec, set_pairs
 from .data import load_csv, manifest
-from .experiments import EvalReport, grid_run, prepare_windows, report_row, run_one
+from .experiments import EvalReport, grid_run, prepare_windows, report_row, run_one, split_windows
 from .latent_graph import dump_edges, gamma_count
 from .model import VARIANT_IDS, load_model
 from .synthetic import generate_coupled, write_csv
@@ -110,7 +110,7 @@ def _checkpoint_windows(args):
 
 def cmd_eval(args) -> int:
     model, spec, prepared = _checkpoint_windows(args)
-    windows = getattr(prepared, args.split)
+    windows = split_windows(prepared, args.split, model.cfg.input_len, model.cfg.horizon)
     out = _out_dir(args, spec)
     preds = forecasts(model, windows, spec.train_config().batch_size)
     if args.dump_predictions:
@@ -173,9 +173,7 @@ def cmd_synth_gen(args) -> int:
 
 def cmd_inspect_graph(args) -> int:
     model, spec, prepared = _checkpoint_windows(args)
-    pairs = getattr(prepared, args.split)
-    if not pairs:
-        raise ContractError(f"split {args.split!r} has no windows at this (L, K)")
+    pairs = split_windows(prepared, args.split, model.cfg.input_len, model.cfg.horizon)
     if not 0 <= args.window < len(pairs):
         raise ContractError(f"window index {args.window} out of range [0, {len(pairs)})")
     x, _ = pairs[args.window]

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import ContractError
 from .data import Dataset, NormalizationStats, SplitSpec, normalize, split, window_list
 from .model import ModelConfig, build_variant
 from .training import TrainConfig, evaluate, train
@@ -93,6 +94,15 @@ def prepare_windows(ds: Dataset, spec: SplitSpec, input_len: int, horizon: int) 
     )
 
 
+def split_windows(prepared: PreparedData, split: str, input_len: int, horizon: int) -> list:
+    """The windows of one split; a split with none is refused by name."""
+    windows = getattr(prepared, split)
+    if not windows:
+        raise ContractError(f"split {split!r} has no windows at this (L, K): it needs at least "
+                            f"L + K = {input_len + horizon} rows")
+    return windows
+
+
 def report_row(cfg: ModelConfig, dataset: str, mse: float, mae: float, epochs: int = 0,
                wall_s: float = 0.0) -> dict:
     """One report row: a model's settings and its scores on one split."""
@@ -103,10 +113,12 @@ def report_row(cfg: ModelConfig, dataset: str, mse: float, mae: float, epochs: i
 def run_one(prepared: PreparedData, model_cfg: ModelConfig, train_cfg: TrainConfig,
             stats: NormalizationStats | None = None):
     """Train one configuration and score it on the test split, at the run's
-    batch size, in raw units when ``stats`` is given; returns (row, model, result)."""
+    batch size, in raw units when ``stats`` is given; returns (row, model, result).
+    An empty test split is refused before the model is built."""
+    test = split_windows(prepared, "test", model_cfg.input_len, model_cfg.horizon)
     model = build_variant(model_cfg)
     result = train(model, prepared.train, prepared.val, train_cfg)
-    test_mse, test_mae = evaluate(model, prepared.test, stats, train_cfg.batch_size)
+    test_mse, test_mae = evaluate(model, test, stats, train_cfg.batch_size)
     row = report_row(model_cfg, prepared.name, test_mse, test_mae, result.epochs_run,
                      result.wall_s)
     return row, model, result

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, Tensor
+from .autodiff import ContractError, NumericError, Tensor
 
 
 def sample_count(c: float, n_nodes: int) -> int:
@@ -80,11 +80,6 @@ class GraphBatch:
         return self.selected_queries + offsets, self.selected_keys + offsets[..., None]
 
 
-def project_qk(h: Tensor, wq: Tensor, wk: Tensor) -> tuple[Tensor, Tensor]:
-    """Linear query/key projections of the node embeddings."""
-    return ad.matmul(h, wq), ad.matmul(h, wk)
-
-
 def query_importance(q: np.ndarray, k_sampled: np.ndarray) -> np.ndarray:
     """Divergence of each query's attention over the sampled keys from uniform.
 
@@ -112,15 +107,14 @@ def select_queries(scores: np.ndarray, n: int) -> np.ndarray:
     A partition finds each row's n-th largest score t; the row keeps every
     score above t and, lowest index first, as many equal to t as fill n.  That
     is exactly the first n of a stable sort by descending score (-0.0 and 0.0
-    tie), without the sort.  Scores with a NaN, which such a sort puts last,
-    take the sort.
+    tie), without the sort.  NaN scores, which only diverged parameters give,
+    are refused.
     """
     size = scores.shape[-1]
-    if n > size:
+    if not 1 <= n <= size:
         raise ContractError(f"cannot select {n} queries from {size}")
-    if n < 1 or np.isnan(scores).any():
-        order = np.argsort(-scores, axis=-1, kind="stable")
-        return np.sort(order[..., :n], axis=-1)
+    if np.isnan(scores).any():
+        raise NumericError("select_queries requires scores without NaN")
     t = np.partition(scores, size - n, axis=-1)[..., size - n, None]
     keep = scores >= t  # n in each row, or more where scores tie at t
     if np.count_nonzero(keep) > keep.size // size * n:
@@ -152,7 +146,7 @@ def build_sparse_adjacency_batch(
     if not 1 <= n <= n_nodes:
         raise ContractError(f"selection size {n} out of range [1, {n_nodes}]")
     batch, dim = h.shape[0] // n_nodes, h.shape[1]
-    q, k = project_qk(h, wq, wk)
+    q, k = ad.matmul(h, wq), ad.matmul(h, wk)
     kv = k.values.reshape(batch, n_nodes, dim)
     sampled = np.random.default_rng(seed).choice(n_nodes, size=n, replace=False)
     qv = q.values.reshape(batch, n_nodes, dim)

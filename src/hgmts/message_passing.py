@@ -103,7 +103,6 @@ class MessagePassingUnit:
         messages: bool = True,
     ):
         self.input_len = input_len
-        self.embed_dim = embed_dim
         self.encoder = MLP2(reg, f"{prefix}.enc", input_len, hidden_dim, embed_dim)
         if messages:
             self.message_net = MLP2(reg, f"{prefix}.msg", embed_dim, hidden_dim, embed_dim)

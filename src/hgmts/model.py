@@ -17,7 +17,7 @@ share a graph: pathways with equal keys use the graph the first of them built
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .decomposition import decompose
 from .latent_graph import GraphBatch, build_sparse_adjacency_batch, gamma_count, sample_count
 from .message_passing import EDGE_BUDGET, MessagePassingUnit, edge_bytes
 from .nn import MLP2, ParamRegistry
-
-VARIANT_IDS = ("hgmts1", "hgmts2", "hgmts3", "hgmts4", "hgmts5", "hgmts6")
-
 
 @dataclass(frozen=True)
 class VariantWiring:
@@ -54,6 +51,7 @@ WIRINGS: dict[str, VariantWiring] = {
     "hgmts5": VariantWiring(single_pathway=True),
     "hgmts6": VariantWiring(single_gru=True),
 }
+VARIANT_IDS = tuple(WIRINGS)
 
 
 @dataclass
@@ -121,6 +119,9 @@ class ModelConfig:
         unknown = sorted(set(d) - known - {"recompute_graph_each_round"})
         if unknown:
             raise ContractError(f"unknown model config keys {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ContractError(f"model config lacks the required keys {missing}")
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
@@ -270,10 +271,11 @@ class Model:
         rows do not depend on the call history or on the other windows.  The
         pass records a tape exactly when ``step`` is given: an inference pass
         computes the same values and keeps no parents, closures or saved arrays.
-        A batch whose message round would need more than ``EDGE_BUDGET`` bytes
-        of edge arrays is refused before any work.  Two pathways whose stacked
-        (rows, embed_dim) states hold at least ``ad.PARALLEL_MIN_SIZE`` elements
-        run on two threads; ``ctx.parallel`` records that choice.
+        A batch holding a NaN or infinite value, or whose message round would
+        need more than ``EDGE_BUDGET`` bytes of edge arrays, is refused before
+        any work.  Two pathways whose stacked (rows, embed_dim) states hold at
+        least ``ad.PARALLEL_MIN_SIZE`` elements run on two threads;
+        ``ctx.parallel`` records that choice.
         """
         arr = np.asarray(windows, dtype=np.float64)
         if arr.ndim not in (2, 3):
@@ -287,6 +289,10 @@ class Model:
                 f"window shape {(n_nodes, length)} does not match configured "
                 f"({self.cfg.n_nodes}, {self.cfg.input_len})"
             )
+        if not np.isfinite(arr).all():
+            b, node, t = np.argwhere(~np.isfinite(arr))[0]
+            raise ContractError(f"window {b}, node {node}, step {t} holds {arr[b, node, t]}; "
+                                "forward_batch takes finite windows only")
         n = self.cfg.selection_size()
         estimate = edge_bytes(batch, n, self.cfg.hidden)
         if self.wiring.graph_scope is not None and estimate > EDGE_BUDGET:

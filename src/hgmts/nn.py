@@ -62,9 +62,6 @@ class Linear:
         self.w = reg.weight(f"{prefix}.w", d_in, d_out)
         self.b = reg.bias(f"{prefix}.b", d_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.affine(x, self.w, self.b)
-
 
 class MLP2:
     """Two-layer perceptron: linear, ReLU, linear (final layer stays linear)."""
@@ -119,15 +116,14 @@ class GRUCell:
         return gru_round(h, x, np.arange(h.shape[0]), (self,))
 
 
-class GateUnit:
-    """Small scalar-gate network: linear, ReLU, linear, sigmoid; one gate per row."""
+class GateUnit(MLP2):
+    """Scalar-gate network: the two-layer MLP with one output, then a sigmoid; one gate per row."""
 
     def __init__(self, reg: ParamRegistry, prefix: str, d_in: int, d_hidden: int):
-        self.l1 = Linear(reg, f"{prefix}.l1", d_in, d_hidden)
-        self.l2 = Linear(reg, f"{prefix}.l2", d_hidden, 1)
+        super().__init__(reg, prefix, d_in, d_hidden, 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.sigmoid(self.l2(ad.relu(self.l1(x))))
+        return ad.sigmoid(super().__call__(x))
 
 
 def gru_round(h: Tensor, x: Tensor, rows, cells, gate: GateUnit | None = None) -> Tensor:

@@ -23,7 +23,7 @@ from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.data import denormalize
 from hgmts.decomposition import decompose
-from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, project_qk, select_queries
+from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, select_queries
 from hgmts.metrics import mae, mse
 from hgmts.model import ForwardContext
 
@@ -198,6 +198,27 @@ def ref_avgpool1d(a: Tensor, kernel: int, padding: str = "edge") -> Tensor:
         return (gx,)
 
     return Tensor(out, (a,), grad_fn)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Tape op: x @ w + b in one node; b is a length-d_out row vector.  With
+    :func:`relu`, the three-op chain that ``nn.MLP2`` must match bitwise."""
+    xv, wv = x.values, w.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise ad.ShapeMismatch(f"affine: incompatible shapes {xv.shape} and {wv.shape}")
+    out = xv @ wv
+    out += b.values
+
+    def grad_fn(g):
+        return (g @ wv.T, xv.T @ g, g.sum(axis=0))
+
+    return Tensor(out, (x, w, b), grad_fn)
+
+
+def relu(a: Tensor) -> Tensor:
+    """Tape op: elementwise max(a, 0)."""
+    av = a.values
+    return Tensor(np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0),))
 
 
 def ref_mlp2(x, w1, b1, w2, b2):
@@ -453,7 +474,7 @@ def scatter_2d(w: Tensor, rows, cols, shape: tuple[int, int]) -> Tensor:
 
 def dense_adjacency(h: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
     """Full quadratic attention adjacency on the tape; rows sum to one."""
-    q, k = project_qk(h, wq, wk)
+    q, k = ad.matmul(h, wq), ad.matmul(h, wk)
     scale = 1.0 / math.sqrt(h.shape[1])
     return ad.softmax_rows(ad.mul(ad.matmul(q, ad.transpose(k)), scale))
 

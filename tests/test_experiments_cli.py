@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hgmts.cli
+import hgmts.experiments
 from hgmts.cli import _SettingFlag, build_parser, main
 from hgmts.config import _KEYS, RunSpec, load_run_spec
 from hgmts.data import SplitSpec, load_csv
@@ -264,6 +265,25 @@ class TestCli:
         assert sum(np.array_equal(p[0], prepared.test[0][0]) for p in passes) == 1
         row = rows[0][0]
         assert (row["mse"], row["mae"]) == evaluate(model, prepared.test, prepared.stats)
+
+    @pytest.mark.parametrize("command", ["train", "sweep-gamma", "ablate"])
+    def test_a_test_split_without_windows_is_refused_before_training(self, workdir, capsys,
+                                                                    monkeypatch, command):
+        trainings = []
+        monkeypatch.setattr(hgmts.experiments, "train", lambda *args: trainings.append(args))
+        assert main([command, "--config", "run.cfg", "--out", "out",
+                     "--set", "split=0.9,0.08,0.02"]) == 1
+        assert ("split 'test' has no windows at this (L, K): it needs at least L + K = 12 rows"
+                in capsys.readouterr().err)
+        assert trainings == []
+
+    def test_eval_of_a_split_without_windows_is_refused_naming_it(self, workdir, capsys):
+        assert main(["train", "--config", "run.cfg", "--out", "out"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", "out/model.ckpt", "--split", "val",
+                     "--set", "split=0.9,0.04,0.06"]) == 1
+        assert ("split 'val' has no windows at this (L, K): it needs at least L + K = 12 rows"
+                in capsys.readouterr().err)
 
     def test_sweep_gamma_emits_six_rows_per_horizon(self, workdir):
         code = main(["sweep-gamma", "--config", "run.cfg", "--out", "out",

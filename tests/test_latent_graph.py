@@ -18,12 +18,11 @@ from helpers import (
     select_keys,
 )
 from hgmts import autodiff as ad
-from hgmts.autodiff import ContractError, Tensor
+from hgmts.autodiff import ContractError, NumericError, Tensor
 from hgmts.latent_graph import (
     build_sparse_adjacency_batch,
     dump_edges,
     gamma_count,
-    project_qk,
     query_importance,
     sample_count,
     select_queries,
@@ -59,26 +58,32 @@ class TestSampleCount:
 
 
 class TestProjectQK:
+    """The builder projects queries as h @ wq and keys as h @ wk.  At n = N every
+    query keeps every key, so a window's weights are its dense attention."""
+
+    @staticmethod
+    def weights(h, wq, wk):
+        graphs = build_sparse_adjacency_batch(Tensor(h), Tensor(wq), Tensor(wk), h.shape[0],
+                                              h.shape[0], seed=0)
+        return graphs.weights.values[0]
+
     def test_identity_weights(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.uniform(-1, 1, (5, 3)))
-        eye = Tensor(np.eye(3))
-        q, k = project_qk(h, eye, eye)
-        np.testing.assert_array_equal(q.values, h.values)
-        np.testing.assert_array_equal(k.values, h.values)
+        h = np.random.default_rng(0).uniform(-1, 1, (5, 3))
+        np.testing.assert_allclose(self.weights(h, np.eye(3), np.eye(3)),
+                                   ref_softmax_rows(h @ h.T / math.sqrt(3)), atol=1e-15)
 
     def test_one_hot_rows_extract_weight_rows(self):
-        wq = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 3)))
-        h = Tensor(np.eye(3))
-        q, _ = project_qk(h, wq, wq)
-        np.testing.assert_array_equal(q.values, wq.values)
+        rng = np.random.default_rng(1)
+        wq, wk = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+        np.testing.assert_allclose(self.weights(np.eye(3), wq, wk),
+                                   ref_softmax_rows(wq @ wk.T / math.sqrt(3)), atol=1e-15)
 
     def test_random_case_matches_hand_matmul(self):
         rng = np.random.default_rng(2)
-        h = rng.uniform(-1, 1, (3, 2))
-        wq = rng.uniform(-1, 1, (2, 2))
-        q, _ = project_qk(Tensor(h), Tensor(wq), Tensor(wq))
-        np.testing.assert_allclose(q.values, h @ wq, atol=1e-15)
+        h, wq, wk = (rng.uniform(-1, 1, shape) for shape in ((4, 2), (2, 2), (2, 2)))
+        np.testing.assert_allclose(self.weights(h, wq, wk),
+                                   ref_softmax_rows((h @ wq) @ (h @ wk).T / math.sqrt(2)),
+                                   atol=1e-15)
 
 
 class TestQueryImportance:
@@ -131,14 +136,23 @@ class TestSelection:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_equals_the_stable_sort(self, data):
-        """Ties (0.0 and -0.0 among them), infinities and NaN, in 1-D to 3-D scores."""
+        """Ties (0.0 and -0.0 among them) and infinities, in 1-D to 3-D scores."""
         shape = (*data.draw(st.lists(st.integers(0, 3), max_size=2)), data.draw(st.integers(1, 9)))
-        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf])
         scores = data.draw(arrays(np.float64, shape, elements=special | st.floats(-2.0, 2.0)))
-        n = data.draw(st.integers(0, shape[-1]))
+        n = data.draw(st.integers(1, shape[-1]))
         got, want = select_queries(scores, n), ref_select_queries(scores, n)
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+    def test_nan_scores_refused(self):
+        with pytest.raises(NumericError, match="NaN"):
+            select_queries(np.array([[0.5, np.nan, 0.1], [0.2, 0.3, 0.4]]), 2)
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_count_outside_one_to_size_refused(self, n):
+        with pytest.raises(ContractError, match=f"cannot select {n} queries from 3"):
+            select_queries(np.array([0.5, 0.2, 0.1]), n)
 
     def test_equals_the_stable_sort_at_train_wide_logits(self):
         logits = np.random.default_rng(4).normal(size=(8, 11, 321))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    affine,
     build_sparse_adjacency,
     closure_arrays,
     finite_diff_max_err,
@@ -15,6 +16,7 @@ from helpers import (
     ref_message_round,
     ref_mlp2,
     ref_sigmoid,
+    relu,
     saving_aggregate,
     saving_gru_round,
 )
@@ -22,7 +24,7 @@ from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, ShapeMismatch, Tensor
 from hgmts.latent_graph import GraphBatch, build_sparse_adjacency_batch, sample_count
 from hgmts.message_passing import MessagePassingUnit, aggregate
-from hgmts.nn import MLP2, ParamRegistry, gru_round
+from hgmts.nn import MLP2, GateUnit, ParamRegistry, gru_round
 
 
 def make_unit(input_len=6, embed=4, hidden=4, seed=0, **kw):
@@ -132,7 +134,11 @@ class TestMLP2:
         mlp, x, probe = self.make(seed=90)
         leaves = [x, mlp.l1.w, mlp.l1.b, mlp.l2.w, mlp.l2.b]
         results = []
-        for forward in (mlp, lambda v: mlp.l2(ad.relu(mlp.l1(v)))):
+
+        def chain(v):  # affine, relu, affine: three tape nodes
+            return affine(relu(affine(v, mlp.l1.w, mlp.l1.b)), mlp.l2.w, mlp.l2.b)
+
+        for forward in (mlp, chain):
             out = forward(x)
             ad.backward(ad.sum(ad.mul(out, Tensor(probe))))
             results.append([out.values] + [leaf.grad for leaf in leaves])
@@ -365,6 +371,16 @@ class TestGatedUpdate:
         lo = np.minimum(h1, h2) - 1e-12
         hi = np.maximum(h1, h2) + 1e-12
         assert (out >= lo).all() and (out <= hi).all()
+
+    def test_gate_is_the_one_output_mlp2_under_a_sigmoid(self):
+        reg = ParamRegistry(seed=18)
+        gate = GateUnit(reg, "g", 6, 4)
+        assert list(reg.params) == ["g.l1.w", "g.l1.b", "g.l2.w", "g.l2.b"]
+        assert gate.l2.w.shape == (4, 1)
+        jitter_params(reg, seed=19)
+        x = Tensor(np.random.default_rng(20).uniform(-1, 1, (5, 6)))
+        ref = ref_sigmoid(ref_mlp2(x.values, *mlp_param_values(gate)))
+        np.testing.assert_allclose(gate(x).values, ref, atol=1e-15)
 
     @pytest.mark.parametrize("single_gru", [False, True])
     def test_fused_round_matches_reference_oracle(self, single_gru):

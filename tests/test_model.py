@@ -12,7 +12,7 @@ from helpers import block_outputs, finite_diff_max_err, jitter_params, pathway_o
 from hgmts import autodiff as ad
 from hgmts.autodiff import ContractError, Tensor
 from hgmts.checkpoint import save_checkpoint
-from hgmts.model import BlockOutput, ForwardContext, ModelConfig, build_variant, load_model
+from hgmts.model import Block, BlockOutput, ForwardContext, ModelConfig, build_variant, load_model
 from hgmts.training import evaluate
 
 TINY = dict(n_nodes=3, input_len=8, horizon=4, embed_dim=4, kernel=3, rounds=3,
@@ -203,6 +203,20 @@ class TestModelForward:
         no_graph = build_variant(ModelConfig(**{**vars(cfg), "variant": "hgmts4"}))
         assert no_graph.forward_batch(windows[:1], step=step)[0].shape == (2000, 4)
 
+    @pytest.mark.parametrize("variant", ["hgmts1", "hgmts4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_refused_naming_its_place(self, monkeypatch, variant, bad):
+        model = tiny_model(variant)
+        windows = np.stack([rand_window(model.cfg, seed) for seed in (1, 2)])
+        windows[1, 2, 5] = bad
+
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(Block, "forward", no_block)
+        with pytest.raises(ContractError, match=f"window 1, node 2, step 5 holds {bad}"):
+            model.forward_batch(windows)
+
     def test_inference_pass_cannot_be_differentiated(self):
         model = tiny_model()
         forecast = model.forward_batch(rand_window(model.cfg))[0]
@@ -374,6 +388,17 @@ class TestPersistence:
         path = tmp_path / "typo.ckpt"
         save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
         with pytest.raises(ContractError, match="blocks_per_stak"):
+            load_model(path)
+
+    def test_checkpoint_with_missing_model_keys_rejected_naming_them(self, tmp_path):
+        model = tiny_model(seed=37)
+        stored = model.cfg.to_dict()
+        for key in ("n_nodes", "input_len", "horizon"):
+            del stored[key]
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(path, model.registry.named_values(), {"model": stored, "run": {}})
+        with pytest.raises(ContractError, match=r"lacks the required keys "
+                                                r"\['n_nodes', 'input_len', 'horizon'\]"):
             load_model(path)
 
     def test_checkpoint_with_extra_parameters_rejected(self, tmp_path):

@@ -235,6 +235,8 @@ class TestCheckpoint:
         (lambda m: m.pop("params"), "params"),
         (lambda m: m.update(version=99), "version"),
         (lambda m: m.update(dtype=">f4"), "dtype"),
+        pytest.param(lambda m: m.update(params=[["w", "ab"]]), "params", id="params-shape-not-ints"),
+        pytest.param(lambda m: m.update(params=[["w"]]), "params", id="params-entry-without-shape"),
     ])
     def test_bad_manifest_field_rejected_naming_it(self, tmp_path, edit, field):
         path = tmp_path / "m.ckpt"

@@ -6,8 +6,8 @@ back to them.  A node holds no value: each gradient function keeps, from the
 moment it is recorded, only the arrays its backward reads, so an op result's
 array lives exactly as long as the caller or some saved gradient function
 holds it.  A leaf (a parameter or data) is its own node, so the backward pass
-sets its ``.grad`` directly.  Calling :func:`backward` on a scalar walks the
-recorded graph once, running each node after every node that consumed it.
+adds into its ``.grad`` directly.  Calling :func:`backward` on a scalar walks
+the recorded graph once, running each node after every node that consumed it.
 The graph (the "tape") is rebuilt from scratch on every recorded forward
 pass, so ordinary Python control flow in model code needs no special
 handling.  Inside ``with recording(False)`` an operation computes the same
@@ -256,8 +256,9 @@ class _Walk:
         self.wake = threading.Condition(self.lock)
 
     def _push(self, i: int, grads) -> None:
-        """Put node i's parent gradients (None: no gradient) into their slots;
-        a leaf whose slots are all filled takes its gradient here."""
+        """Put node i's parent gradients (None: no gradient) into their slots; a
+        leaf whose slots are all filled takes a copy of its sum, or adds it in
+        place to the ``.grad`` it has, so no two leaves share an array."""
         slots, missing = self.slots, self.missing
         for (k, slot), pg in zip(self.edges[i], reversed(grads), strict=True):
             slots[k][slot] = pg
@@ -270,7 +271,7 @@ class _Walk:
                 continue
             g, slots[k] = _summed(slots[k]), None
             if g is not None:
-                node.grad = g if node.grad is None else node.grad + g
+                node.grad = np.array(g) if node.grad is None else np.add(node.grad, g, out=node.grad)
             self.left -= 1
 
     def drain(self) -> None:
@@ -310,10 +311,10 @@ def backward(loss: Tensor, parallel: bool = False) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf reachable from ``loss``.
 
     Op results keep ``.grad`` None: each intermediate gradient is dropped once
-    it has been pushed to its parents.  Repeated calls without clearing grads
-    add another full pass of gradients (each call contributes exactly one
-    d(loss)/d(leaf) per leaf).  Gradient buffers are accumulated by
-    reassignment and may share storage, so treat ``.grad`` as read-only.
+    it has been pushed to its parents.  Each leaf owns its ``.grad``: a call
+    adds into it in place (a leaf without one gets a fresh array), so repeated
+    calls add another full pass of gradients, one d(loss)/d(leaf) per leaf,
+    and a ``.grad`` that views a buffer, as in training, accumulates there.
 
     With ``parallel``, the caller and the worker thread that :func:`both`
     starts drain the tape together, each running a node whose consumers have
@@ -324,7 +325,7 @@ def backward(loss: Tensor, parallel: bool = False) -> None:
     the caller gets that exception.
 
     The walk reads tape nodes only: every gradient function holds the arrays
-    it reads, and a leaf, being its own node, takes its ``.grad`` from the
+    it reads, and a leaf, being its own node, gets its ``.grad`` from the
     walk.  So the caller needs to keep no Tensor but ``loss``, and an op
     result that no gradient function saved may be freed before the walk.
 

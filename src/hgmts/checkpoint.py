@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -54,6 +55,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
     for key in ("config_hash", "config", "params"):
         if key not in manifest:
             raise ContractError(f"checkpoint {path} has no {key!r} in its manifest")
+    for key, kind, what in (("config", dict, "a JSON object"), ("params", list, "a list")):
+        if not isinstance(manifest[key], kind):
+            raise ContractError(f"checkpoint {path} has {key} {manifest[key]!r}; expected {what}")
     for key, expected in (("version", FORMAT_VERSION), ("dtype", DTYPE)):
         if manifest.get(key) != expected:
             raise ContractError(f"checkpoint {path} has {key} {manifest.get(key)!r}, "
@@ -69,8 +73,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
             raise ContractError(f"checkpoint {path} has params entry {entry!r}; expected a name "
                                 "and a list of non-negative ints")
         name, shape = entry
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = 8 * math.prod(shape)
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise ContractError(f"checkpoint truncated at parameter {name}")

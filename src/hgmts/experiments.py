@@ -31,26 +31,15 @@ class EvalReport:
 
     def averaged(self) -> "EvalReport":
         """One row per (dataset, variant, gamma, horizon): arithmetic mean over runs."""
+        keys = ("dataset", "variant", "gamma", "horizon")
         groups: dict[tuple, list[dict]] = {}
         for row in self.rows:
-            key = (row["dataset"], row["variant"], row["gamma"], row["horizon"])
-            groups.setdefault(key, []).append(row)
-        out = []
-        for (dataset, variant, gamma, horizon), members in groups.items():
-            out.append(
-                {
-                    "dataset": dataset,
-                    "variant": variant,
-                    "gamma": gamma,
-                    "horizon": horizon,
-                    "seed": f"avg{len(members)}",
-                    "mse": float(np.mean([m["mse"] for m in members])),
-                    "mae": float(np.mean([m["mae"] for m in members])),
-                    "epochs": float(np.mean([m["epochs"] for m in members])),
-                    "wall_s": float(np.sum([m["wall_s"] for m in members])),
-                }
-            )
-        return EvalReport(out)
+            groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+        return EvalReport([
+            {**dict(zip(keys, key)), "seed": f"avg{len(members)}",
+             **{f: float(np.mean([m[f] for m in members])) for f in ("mse", "mae", "epochs")},
+             "wall_s": float(np.sum([m["wall_s"] for m in members]))}
+            for key, members in groups.items()])
 
     def table(self) -> str:
         widths = {f: max(len(f), *(len(_fmt(r.get(f))) for r in self.rows)) if self.rows else len(f)
@@ -129,12 +118,16 @@ def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: l
              seeds: list[int] | None = None, raw_space: bool = False) -> EvalReport:
     """Train and evaluate per (horizon, value of the ModelConfig ``field``, seed);
     one report row each, scored in raw units when ``raw_space``.  Every config
-    of the grid is built before the first one trains, so a bad value fails
-    before any training."""
+    of the grid is built, and every horizon's test split checked, before the
+    first one trains, so a bad value or a too-short test split fails before
+    any training."""
     seeds = seeds or [model_cfg.seed]
     grid = [(horizon, [replace(model_cfg, **{field: value}, horizon=horizon, seed=seed)
                        for value in values for seed in seeds])
             for horizon in horizons]
+    for horizon in horizons:
+        split_windows(prepare_windows(ds, spec, model_cfg.input_len, horizon), "test",
+                      model_cfg.input_len, horizon)
     rows = []
     for horizon, cfgs in grid:
         prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)

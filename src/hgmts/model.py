@@ -345,6 +345,9 @@ def load_model(path) -> tuple[Model, dict]:
     values, config, _ = load_checkpoint(path)
     if "model" not in config:
         raise ContractError(f"checkpoint {path} has no 'model' section in its config")
+    for key in ("model", "run"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ContractError(f"checkpoint {path} has a {key!r} section that is not a JSON object")
     model = build_variant(ModelConfig.from_dict(config["model"]))
     model.registry.load_values(values)
     return model, config.get("run", {})

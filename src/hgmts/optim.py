@@ -8,11 +8,12 @@ from .autodiff import ContractError
 
 
 class AdamState:
-    """One flat buffer of parameter values, its first/second moments and the step counter.
+    """Flat parameter values and gradients, their Adam moments and the step counter.
 
     ``params`` maps each parameter's name to its leaf tensor.  Their values are
-    copied into ``values`` in order, and each parameter's ``values`` becomes a
-    view of its slice, so an update of the buffer updates every parameter.
+    copied into ``values`` in order; each parameter's ``values`` and ``grad``
+    become views of its slices of ``values`` and of the zeroed ``grad``, so
+    ``backward`` adds into one buffer and Adam updates the other in place.
     Defaults follow the usual convention: beta1=0.9, beta2=0.999, eps=1e-8.
     ``lr`` is mutable so a schedule can adjust it between steps.
     """
@@ -26,29 +27,29 @@ class AdamState:
         self.step = 0
         self.params = dict(params)
         self.values = np.concatenate([p.values.ravel() for p in self.params.values()])
+        self.grad = np.zeros_like(self.values)
         lo = 0
         for p in self.params.values():
-            p.values = self.values[lo : lo + p.values.size].reshape(p.values.shape)
-            lo += p.values.size
+            hi = lo + p.values.size
+            p.values = self.values[lo:hi].reshape(p.values.shape)
+            p.grad = self.grad[lo:hi].reshape(p.values.shape)
+            lo = hi
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
 
 
 def adam_step(state: AdamState) -> None:
-    """One bias-corrected Adam update of the whole buffer in place; gradients are cleared.
+    """One bias-corrected Adam update of the whole buffer in place; ``state.grad``
+    serves as scratch and is left zeroed for the next backward pass.
 
-    The gradient and scratch buffers live for this call only, so they are not
-    resident while the next step's tape is built.
+    The other scratch buffer lives for this call only, so it is not resident
+    while the next step's tape is built.
     """
     for name, p in state.params.items():
-        if p.grad is None:
-            raise ContractError(f"adam_step: parameter {name} has no gradient")
-        if p.values.base is not state.values:
+        if p.values.base is not state.values or getattr(p.grad, "base", None) is not state.grad:
             raise ContractError(f"adam_step: parameter {name} was rebound and no longer "
-                                "views the optimizer's buffer")
-    g = np.concatenate([p.grad.ravel() for p in state.params.values()])
-    for p in state.params.values():
-        p.grad = None
+                                "views the optimizer's buffers")
+    g = state.grad
     scratch = np.empty_like(g)
     state.step += 1
     t = state.step
@@ -66,3 +67,4 @@ def adam_step(state: AdamState) -> None:
     g += state.eps
     scratch /= g
     state.values -= scratch
+    g.fill(0.0)

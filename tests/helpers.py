@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hgmts import autodiff as ad
-from hgmts.autodiff import ContractError, Tensor
+from hgmts.autodiff import Tensor
 from hgmts.data import denormalize
 from hgmts.decomposition import decompose
 from hgmts.latent_graph import SparseAdjacency, build_sparse_adjacency_batch, select_queries
@@ -419,11 +419,9 @@ def reference_adam_step(state) -> None:
     that ``optim.adam_step`` matches bitwise.
 
     Its moments live in each parameter's slice of ``state.m`` and ``state.v``,
-    and each parameter's values are rebound to a new array.
+    each parameter's values are rebound to a new array, and each gradient,
+    a view of ``state.grad``, is zeroed in place.
     """
-    for name, p in state.params.items():
-        if p.grad is None:
-            raise ContractError(f"adam_step: parameter {name} has no gradient")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -441,7 +439,7 @@ def reference_adam_step(state) -> None:
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.grad = None
+        g.fill(0.0)
 
 
 def gru_param_values(cell):

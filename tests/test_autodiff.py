@@ -88,6 +88,18 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 12.0)
 
+    def test_leaves_fed_by_one_add_own_their_gradients(self):
+        """``add`` hands one gradient array to both of its inputs; each leaf
+        takes its own copy, so adding the second pass in place into one leaf's
+        ``.grad`` leaves the other's alone."""
+        x, y = Tensor(np.ones(3)), Tensor(np.ones(3))
+        loss = ad.sum(ad.mul(ad.add(x, y), Tensor([1.0, 2.0, 3.0])))
+        for passes in (1, 2):
+            ad.backward(loss)
+            assert not np.shares_memory(x.grad, y.grad)
+            for leaf in (x, y):
+                np.testing.assert_array_equal(leaf.grad, [passes, 2.0 * passes, 3.0 * passes])
+
     def test_only_leaves_keep_a_gradient(self):
         x = Tensor(3.0)
         sq = ad.mul(x, x)

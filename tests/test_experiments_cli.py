@@ -16,6 +16,7 @@ import pytest
 
 import hgmts.cli
 import hgmts.experiments
+from hgmts.checkpoint import config_hash
 from hgmts.cli import _SettingFlag, build_parser, main
 from hgmts.config import _KEYS, RunSpec, load_run_spec
 from hgmts.data import SplitSpec, load_csv
@@ -274,6 +275,17 @@ class TestCli:
         assert main([command, "--config", "run.cfg", "--out", "out",
                      "--set", "split=0.9,0.08,0.02"]) == 1
         assert ("split 'test' has no windows at this (L, K): it needs at least L + K = 12 rows"
+                in capsys.readouterr().err)
+        assert trainings == []
+
+    def test_sweep_checks_every_horizon_before_training(self, workdir, capsys, monkeypatch):
+        """The 48-row test split holds windows at horizon 4 but none at 44, and the
+        grid refuses that before it trains the horizon-4 configurations."""
+        trainings = []
+        monkeypatch.setattr(hgmts.experiments, "train", lambda *args: trainings.append(args))
+        assert main(["sweep-gamma", "--config", "run.cfg", "--out", "out",
+                     "--horizons", "4,44"]) == 1
+        assert ("split 'test' has no windows at this (L, K): it needs at least L + K = 52 rows"
                 in capsys.readouterr().err)
         assert trainings == []
 
@@ -614,6 +626,18 @@ class TestRunRecord:
         (workdir / "m.ckpt").write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
         assert main(["eval", "--checkpoint", "m.ckpt", "--data", "series.csv"]) == 1
         assert "'config_hash'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["model", "run"])
+    def test_a_section_that_is_not_an_object_fails_without_a_traceback(self, workdir, capsys,
+                                                                       key):
+        Model(fast_model_cfg(4)).save(workdir / "m.ckpt")
+        header, _, payload = (workdir / "m.ckpt").read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        manifest["config"][key] = [1]
+        manifest["config_hash"] = config_hash(manifest["config"])
+        (workdir / "m.ckpt").write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        assert main(["eval", "--checkpoint", "m.ckpt", "--data", "series.csv"]) == 1
+        assert f"has a '{key}' section that is not a JSON object" in capsys.readouterr().err
 
 
 def readme_flag_rows():

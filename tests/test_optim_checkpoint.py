@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = make_param([1.0, -2.0])
         state = AdamState({"theta": p})
-        p.grad = np.zeros(2)
         adam_step(state)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
@@ -37,7 +37,7 @@ class TestAdam:
         # m_hat = g, v_hat = g^2 at step 1, so the step is lr * g/(|g| + eps)
         p = make_param([1.0])
         state = AdamState({"theta": p}, lr=1e-4)
-        p.grad = np.ones(1)
+        p.grad += 1.0
         adam_step(state)
         expected = 1.0 - 1e-4 * (1.0 / (1.0 + 1e-8))
         np.testing.assert_allclose(p.values, [expected], rtol=1e-15)
@@ -48,7 +48,7 @@ class TestAdam:
         theta, m, v = 0.5, 0.0, 0.0
         for t in (1, 2):
             g = 2.0 * theta  # gradient of theta^2
-            p.grad = np.array([g])
+            p.grad += g
             adam_step(state)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
@@ -59,22 +59,27 @@ class TestAdam:
         p = make_param([0.0])
         state = AdamState({"theta": p})
         for expected in (1, 2, 3):
-            p.grad = np.ones(1)
+            p.grad += 1.0
             adam_step(state)
             assert state.step == expected
 
     def test_missing_gradient_rejected(self):
+        """A parameter whose gradient no longer views the optimizer's buffer,
+        as after ``ParamRegistry.load_values``, is refused by name."""
         p = make_param([0.0])
         state = AdamState({"theta": p})
-        with pytest.raises(ContractError, match="theta"):
-            adam_step(state)
+        for grad in (None, np.ones(1)):
+            p.grad = grad
+            with pytest.raises(ContractError, match="theta"):
+                adam_step(state)
+        assert state.step == 0
 
     def test_gradients_zeroed_after_step(self):
-        p = make_param([0.0])
+        p = make_param([0.0, 1.0])
         state = AdamState({"theta": p})
-        p.grad = np.ones(1)
+        p.grad += [1.0, -2.0]
         adam_step(state)
-        assert p.grad is None
+        assert p.grad.base is state.grad and not state.grad.any()
 
 
 def small_model(variant, seed=0):
@@ -102,15 +107,40 @@ class TestFlatBuffer:
         model = small_model("hgmts1")
         params = model.parameters()
         state = AdamState(params)
-        for p in params.values():
-            p.grad = np.ones_like(p.values)
+        state.grad += 1.0
         adam_step(state)
         name = list(params)[3]
         params[name].values = params[name].values.copy()
-        for p in params.values():
-            p.grad = np.ones_like(p.values)
+        state.grad += 1.0
         with pytest.raises(ContractError, match=name):
             adam_step(state)
+
+    def test_reloaded_values_rejected_at_the_next_step(self):
+        """``ParamRegistry.load_values`` mid-run rebinds every parameter to a
+        fresh array, so the next step refuses the first one by name."""
+        model = small_model("hgmts1")
+        state = AdamState(model.parameters())
+        adam_step(state)
+        model.registry.load_values(model.registry.named_values())
+        with pytest.raises(ContractError, match=re.escape(next(iter(state.params)))):
+            adam_step(state)
+        assert state.step == 1
+
+    def test_one_step_allocates_at_most_one_flat_buffer(self):
+        """The gradients are read in place from ``state.grad``, so one step on
+        hgmts1's 155,190 values allocates only its scratch buffer."""
+        cfg = ModelConfig(n_nodes=8, input_len=48, horizon=24, embed_dim=32, kernel=25,
+                          stacks=3, rounds=3, gamma=0.7, variant="hgmts1")
+        state = AdamState(build_variant(cfg).parameters())
+        assert state.values.size == 155_190
+        state.grad += 1.0
+        tracemalloc.start()
+        try:
+            adam_step(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.values.nbytes + 2**16
 
     def test_steps_match_the_per_parameter_oracle_bitwise(self):
         flat, ref = small_model("hgmts1"), small_model("hgmts1")
@@ -119,8 +149,8 @@ class TestFlatBuffer:
         rng = np.random.default_rng(5)
         for _ in range(5):
             for p, q in zip(flat.parameters().values(), ref.parameters().values()):
-                p.grad = rng.normal(size=p.values.shape)
-                q.grad = p.grad.copy()
+                p.grad += rng.normal(size=p.values.shape)
+                q.grad += p.grad
             adam_step(flat_state)
             reference_adam_step(ref_state)
         for (name, p), q in zip(flat.parameters().items(), ref.parameters().values()):
@@ -227,6 +257,21 @@ class TestCheckpoint:
         path = tmp_path / "bogus"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("params", 5, "has params 5; expected a list"),
+        ("config", [1, 2], "has config [1, 2]; expected a JSON object"),
+    ])
+    def test_section_of_the_wrong_kind_rejected_naming_it(self, tmp_path, key, value, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)}, {"a": 1})
+        header, _, payload = path.read_bytes().partition(b"\n")
+        manifest = json.loads(header)
+        manifest[key] = value
+        manifest["config_hash"] = config_hash(manifest["config"])
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        with pytest.raises(ContractError, match=re.escape(message)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, field", [

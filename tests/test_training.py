@@ -250,6 +250,39 @@ class TestTrainLoop:
                          TrainConfig(max_epochs=2, seed=5, backcast_loss_weight=0.5))
         assert plain.history[0].train_loss != with_aux.history[0].train_loss
 
+    def test_step_adds_into_the_optimizer_buffer_and_leaves_it_zeroed(self):
+        """Backward adds each parameter's gradient into its slice of
+        ``AdamState.grad`` and Adam leaves that buffer zeroed; the last block's
+        backcast heads, which no loss reaches, keep their values."""
+        ds, _ = generate_coupled(n_series=4, length=200, seed=3)
+        prepared = prepare_windows(ds, SplitSpec(0.7, 0.1, 0.2), 12, 4)
+        model = build_variant(ModelConfig(n_nodes=4, input_len=12, horizon=4, embed_dim=4,
+                                          kernel=5, stacks=2, rounds=1, gamma=1.0))
+        adam = training.AdamState(model.parameters(), lr=1e-3)
+        before = model.registry.named_values()
+        training._train_step(model, adam, TrainConfig(), prepared.train[:8], "epoch 0, batch 0")
+        params = model.parameters()
+        assert all(p.grad.base is adam.grad for p in params.values())
+        assert not adam.grad.any()
+        heads = {name for name in params if ".backcast." in name}
+        unreached = {name for name in heads if name.startswith("stack1.")}
+        assert len(unreached) == 8 and len(heads) == 16
+        for name in heads:
+            assert np.array_equal(params[name].values, before[name]) == (name in unreached), name
+
+    @pytest.mark.parametrize("libc", [object(), OSError("no C library")])
+    def test_heap_setting_is_a_no_op_without_mallopt(self, monkeypatch, libc):
+        """Where the C library has no ``mallopt``, or none can be loaded,
+        ``train`` sets no malloc option and trains as usual."""
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        model, prepared = small_setup()
+        result = train(model, prepared.train[:8], prepared.val[:4], TrainConfig(max_epochs=1))
+        assert result.epochs_run == 1
+
     def test_raw_space_evaluation_roundtrips_normalization(self):
         model, prepared = small_setup()
         norm_mse, _ = evaluate(model, prepared.test[:10])

@@ -256,9 +256,8 @@ class _Walk:
         self.wake = threading.Condition(self.lock)
 
     def _push(self, i: int, grads) -> None:
-        """Put node i's parent gradients (None: no gradient) into their slots; a
-        leaf whose slots are all filled takes a copy of its sum, or adds it in
-        place to the ``.grad`` it has, so no two leaves share an array."""
+        """Put node i's parent gradients (None: no gradient) into their slots; a leaf
+        whose slots are all filled adds their sum into its own ``.grad`` (a copy if none)."""
         slots, missing = self.slots, self.missing
         for (k, slot), pg in zip(self.edges[i], reversed(grads), strict=True):
             slots[k][slot] = pg

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -73,7 +72,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
             raise ContractError(f"checkpoint {path} has params entry {entry!r}; expected a name "
                                 "and a list of non-negative ints")
         name, shape = entry
-        nbytes = 8 * math.prod(shape)
+        count = int(np.prod(shape)) if shape else 1
+        nbytes = count * 8
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise ContractError(f"checkpoint truncated at parameter {name}")

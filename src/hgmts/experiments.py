@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import ContractError
-from .data import Dataset, NormalizationStats, SplitSpec, normalize, split, window_list
+from .data import Dataset, NormalizationStats, SplitSpec, normalize, split, window_count, window_list
 from .model import ModelConfig, build_variant
 from .training import TrainConfig, evaluate, train
 
@@ -31,15 +31,26 @@ class EvalReport:
 
     def averaged(self) -> "EvalReport":
         """One row per (dataset, variant, gamma, horizon): arithmetic mean over runs."""
-        keys = ("dataset", "variant", "gamma", "horizon")
         groups: dict[tuple, list[dict]] = {}
         for row in self.rows:
-            groups.setdefault(tuple(row[k] for k in keys), []).append(row)
-        return EvalReport([
-            {**dict(zip(keys, key)), "seed": f"avg{len(members)}",
-             **{f: float(np.mean([m[f] for m in members])) for f in ("mse", "mae", "epochs")},
-             "wall_s": float(np.sum([m["wall_s"] for m in members]))}
-            for key, members in groups.items()])
+            key = (row["dataset"], row["variant"], row["gamma"], row["horizon"])
+            groups.setdefault(key, []).append(row)
+        out = []
+        for (dataset, variant, gamma, horizon), members in groups.items():
+            out.append(
+                {
+                    "dataset": dataset,
+                    "variant": variant,
+                    "gamma": gamma,
+                    "horizon": horizon,
+                    "seed": f"avg{len(members)}",
+                    "mse": float(np.mean([m["mse"] for m in members])),
+                    "mae": float(np.mean([m["mae"] for m in members])),
+                    "epochs": float(np.mean([m["epochs"] for m in members])),
+                    "wall_s": float(np.sum([m["wall_s"] for m in members])),
+                }
+            )
+        return EvalReport(out)
 
     def table(self) -> str:
         widths = {f: max(len(f), *(len(_fmt(r.get(f))) for r in self.rows)) if self.rows else len(f)
@@ -86,10 +97,15 @@ def prepare_windows(ds: Dataset, spec: SplitSpec, input_len: int, horizon: int) 
 def split_windows(prepared: PreparedData, split: str, input_len: int, horizon: int) -> list:
     """The windows of one split; a split with none is refused by name."""
     windows = getattr(prepared, split)
-    if not windows:
+    refuse_empty(split, len(windows), input_len, horizon)
+    return windows
+
+
+def refuse_empty(split: str, count: int, input_len: int, horizon: int) -> None:
+    """Refuse by name a split with no windows (``count`` of them) at this (L, K)."""
+    if not count:
         raise ContractError(f"split {split!r} has no windows at this (L, K): it needs at least "
                             f"L + K = {input_len + horizon} rows")
-    return windows
 
 
 def report_row(cfg: ModelConfig, dataset: str, mse: float, mae: float, epochs: int = 0,
@@ -118,16 +134,17 @@ def grid_run(ds: Dataset, spec: SplitSpec, field: str, values: list, horizons: l
              seeds: list[int] | None = None, raw_space: bool = False) -> EvalReport:
     """Train and evaluate per (horizon, value of the ModelConfig ``field``, seed);
     one report row each, scored in raw units when ``raw_space``.  Every config
-    of the grid is built, and every horizon's test split checked, before the
+    of the grid is built, and every horizon's test windows counted, before the
     first one trains, so a bad value or a too-short test split fails before
     any training."""
     seeds = seeds or [model_cfg.seed]
     grid = [(horizon, [replace(model_cfg, **{field: value}, horizon=horizon, seed=seed)
                        for value in values for seed in seeds])
             for horizon in horizons]
+    test_rows = split(ds, spec)[2].length
     for horizon in horizons:
-        split_windows(prepare_windows(ds, spec, model_cfg.input_len, horizon), "test",
-                      model_cfg.input_len, horizon)
+        refuse_empty("test", window_count(test_rows, model_cfg.input_len, horizon),
+                     model_cfg.input_len, horizon)
     rows = []
     for horizon, cfgs in grid:
         prepared = prepare_windows(ds, spec, model_cfg.input_len, horizon)

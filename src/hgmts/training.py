@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import itertools
 import math
 import time
@@ -80,20 +79,18 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _epoch_batches(windows: list, batch_size: int, seed: int, epoch: int):
-    """``windows`` in batches, in an order drawn from (seed, epoch)."""
-    order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(windows))
-    for lo in range(0, len(order), batch_size):
-        yield [windows[i] for i in order[lo : lo + batch_size]]
+@dataclass
+class _Batcher:
+    windows: list
+    batch_size: int
+    rng_seed: int
 
-
-def _keep_freed_heap() -> None:
-    """Have glibc keep the heap a step's dying tape frees, not hand it back for the
-    next step to fault in again; a no-op where the C library has no ``mallopt``."""
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays under 32 MiB, glibc's most, from the heap
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: return free heap top only above 64 MiB
+    def epoch_batches(self, epoch: int):
+        order = np.random.default_rng(np.random.SeedSequence([self.rng_seed, epoch])).permutation(
+            len(self.windows)
+        )
+        for lo in range(0, len(order), self.batch_size):
+            yield [self.windows[i] for i in order[lo : lo + self.batch_size]]
 
 
 @contextlib.contextmanager
@@ -142,19 +139,19 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
     if not train_windows:
         raise ContractError("train requires at least one training window")
     t0 = time.perf_counter()
-    _keep_freed_heap()
     adam = AdamState(model.parameters(), lr=cfg.lr0)
+    batcher = _Batcher(train_windows, cfg.batch_size, cfg.seed)
     history: list[EpochStats] = []
     best_val = float("inf")
     best_epoch = -1
     best_values = None  # epoch 0 always sets it and best_epoch: its validation MSE is finite
+    stale = 0
     stopped_early = False
 
     for epoch in range(cfg.max_epochs):
         adam.lr = lr_schedule(epoch, cfg.lr0, cfg.halve_every)
         losses = []
-        batches = _epoch_batches(train_windows, cfg.batch_size, cfg.seed, epoch)
-        for batch_idx, batch in enumerate(batches):
+        for batch_idx, batch in enumerate(batcher.epoch_batches(epoch)):
             losses.append(_train_step(model, adam, cfg, batch, f"epoch {epoch}, batch {batch_idx}"))
 
         train_loss = float(np.mean(losses))
@@ -168,9 +165,12 @@ def train(model: Model, train_windows: list, val_windows: list, cfg: TrainConfig
             best_val = val
             best_epoch = epoch
             best_values = model.registry.named_values()
-        elif epoch - best_epoch >= cfg.patience:
-            stopped_early = True
-            break
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                stopped_early = True
+                break
 
     model.registry.load_values(best_values)
     return TrainResult(

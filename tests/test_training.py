@@ -270,19 +270,6 @@ class TestTrainLoop:
         for name in heads:
             assert np.array_equal(params[name].values, before[name]) == (name in unreached), name
 
-    @pytest.mark.parametrize("libc", [object(), OSError("no C library")])
-    def test_heap_setting_is_a_no_op_without_mallopt(self, monkeypatch, libc):
-        """Where the C library has no ``mallopt``, or none can be loaded,
-        ``train`` sets no malloc option and trains as usual."""
-        def cdll(name):
-            if isinstance(libc, Exception):
-                raise libc
-            return libc
-        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
-        model, prepared = small_setup()
-        result = train(model, prepared.train[:8], prepared.val[:4], TrainConfig(max_epochs=1))
-        assert result.epochs_run == 1
-
     def test_raw_space_evaluation_roundtrips_normalization(self):
         model, prepared = small_setup()
         norm_mse, _ = evaluate(model, prepared.test[:10])
